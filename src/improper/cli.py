@@ -179,7 +179,8 @@ def cmd_capacity(args) -> int:
             print(f"  {v.name}: measured {v.measured!r}, threshold {v.threshold!r}"
                   + (f" ({v.detail})" if v.detail else ""), file=sys.stderr)
         return 2
-    loss = capacity.capacity_loss(spec)
+    # the loss is printed under --loss and written under --output
+    loss = capacity.capacity_loss(spec) if args.loss or args.output is not None else None
     scale, unit = _unit(args)
     print(f"capacity: {result.capacity_nats / scale!r} {unit}")
     print(f"water level: {result.water_level!r}")

@@ -22,6 +22,12 @@ with a delete-group jackknife standard error. knn_kl_divergence is the
 two-sample nearest-neighbor divergence estimator (Wang-Kulkarni-Verdu),
 clamped at zero. Estimator accuracy is calibrated for dimensions 2n <= 10
 at sample sizes around 1e5; tolerances in the test-suite are frozen there.
+
+Only the estimators need scipy (cKDTree, digamma, gammaln), and they load
+it on first use: the closed forms, and every module that imports them, run
+on numpy alone. The module attribute ``cKDTree`` still resolves to
+scipy.spatial.cKDTree (loaded on first access), and the estimators build
+their trees with whatever that attribute holds when they are called.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln
 
 from . import linalg, second_order
 from .errors import (
@@ -112,7 +116,24 @@ def max_entropy_bound(pair: second_order.SecondOrderPair) -> EntropyValue:
     return complex_gaussian_entropy(pair)
 
 
+def __getattr__(name):
+    # Loads scipy's kd-tree on first access and caches it as a module global.
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        globals()["cKDTree"] = cKDTree
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _kdtree():
+    """The kd-tree class the estimators build with (the module's cKDTree)."""
+    return globals().get("cKDTree") or __getattr__("cKDTree")
+
+
 def _unit_ball_log_volume(d: int) -> float:
+    from scipy.special import gammaln
+
     return 0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1.0)
 
 
@@ -122,9 +143,11 @@ def _knn_entropy_points(points: np.ndarray, k: int, boxsize=None):
     Returns (value, per_point_terms); value = mean(per_point_terms).
     boxsize follows cKDTree: per-dimension period, 0 = not periodic.
     """
+    from scipy.special import digamma
+
     points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
-    tree = cKDTree(points, boxsize=boxsize)
+    tree = _kdtree()(points, boxsize=boxsize)
     dist, _ = tree.query(points, k=k + 1, workers=-1)
     eps = np.maximum(dist[:, k], _MIN_DIST)
     const = (
@@ -179,8 +202,9 @@ def knn_kl_divergence(
     y = linalg.real_vector(q_samples.data)
     n, d = x.shape
     m = y.shape[0]
-    rho = cKDTree(x).query(x, k=k + 1, workers=-1)[0][:, k]
-    nu = cKDTree(y).query(x, k=k, workers=-1)[0]
+    kdtree = _kdtree()
+    rho = kdtree(x).query(x, k=k + 1, workers=-1)[0][:, k]
+    nu = kdtree(y).query(x, k=k, workers=-1)[0]
     if k > 1:
         nu = nu[:, k - 1]
     rho = np.maximum(rho, _MIN_DIST)

@@ -44,6 +44,15 @@ PSD_RTOL = 1e-10
 SINGULAR_RTOL = 1e-12
 
 
+def _check_pair_shapes(cov, pcov) -> None:
+    """C and P must be non-empty square matrices of one shape (DimensionMismatch)."""
+    if cov.shape[0] != cov.shape[1] or cov.shape != pcov.shape or cov.size == 0:
+        raise DimensionMismatch(
+            "C and P must be non-empty and square with equal shapes, "
+            f"got {cov.shape} / {pcov.shape}"
+        )
+
+
 @dataclass(frozen=True)
 class SecondOrderPair:
     """Mean, covariance and complementary covariance of a complex vector."""
@@ -55,10 +64,7 @@ class SecondOrderPair:
     def __post_init__(self):
         cov = linalg.as_complex(self.cov)
         pcov = linalg.as_complex(self.pcov)
-        if cov.shape[0] != cov.shape[1] or cov.shape != pcov.shape:
-            raise DimensionMismatch(
-                f"C and P must be square with equal shapes, got {cov.shape} / {pcov.shape}"
-            )
+        _check_pair_shapes(cov, pcov)
         mean = self.mean
         if mean is None:
             mean = np.zeros(cov.shape[0], dtype=complex)
@@ -177,10 +183,7 @@ def validate_pair(c, p) -> PairValidity:
     """
     c = linalg.as_complex(c)
     p = linalg.as_complex(p)
-    if c.shape[0] != c.shape[1] or c.shape != p.shape:
-        raise DimensionMismatch(
-            f"C and P must be square with equal shapes, got {c.shape} / {p.shape}"
-        )
+    _check_pair_shapes(c, p)
     c_scale = max(np.linalg.norm(c), linalg.ABS_FLOOR)
     if np.linalg.norm(c - c.conj().T) > linalg.SYM_RTOL * c_scale:
         return PairValidity(False, C_NOT_HERMITIAN, float("nan"))

@@ -114,6 +114,20 @@ def test_capacity_no_files_without_output(files, tmp_path, capsys):
     assert not (tmp_path / "capacity_runs.csv").exists()
 
 
+def test_capacity_skips_loss_without_loss_or_output(files, monkeypatch, capsys):
+    assert main(["capacity", files["H"], files["C"], files["P"], "--power", "2"]) == 0
+    expected = capsys.readouterr().out
+
+    def no_loss(spec):
+        raise AssertionError("capacity_loss called without --loss or --output")
+
+    monkeypatch.setattr("improper.capacity.capacity_loss", no_loss)
+    assert main(["capacity", files["H"], files["C"], files["P"], "--power", "2"]) == 0
+    assert capsys.readouterr().out == expected
+    with pytest.raises(AssertionError):
+        main(["capacity", files["H"], files["C"], files["P"], "--power", "2", "--loss"])
+
+
 def test_capacity_violation_exits_two(files, capsys):
     code = main(["capacity", files["H"], files["C"], files["P"], "--power", "0.1"])
     assert code == 2
@@ -167,6 +181,16 @@ def test_verify_algebra_suite(files, capsys):
     assert "[PASS]" in out
     assert "[FAIL]" not in out
     assert out.strip().splitlines()[-1].endswith("(suite=algebra, seed=7, samples=100000)")
+
+
+def test_verify_round_trip_small_p_next_to_c(capsys):
+    # at this seed |P| << |C| for one pair; the round-trip error of P is
+    # ~1e-12 of |P| but ~1e-16 of the embedded pair's scale |C| + |P|
+    assert main(["verify", "--suite", "algebra", "--seed", "1139311386"]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines()
+            if "real covariance round-trip" in l][0]
+    assert line.startswith("[PASS]")
+    assert "(tol 1e-12)" in line
 
 
 def test_verify_writes_report(files, tmp_path, capsys):

@@ -1,0 +1,93 @@
+"""scipy loads only where the kNN estimators and the verify statistics need it.
+
+Each check runs in a fresh interpreter, because the test process itself has
+scipy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+
+from improper import entropy, fileio, second_order as so
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(code, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_closed_form_paths_never_load_scipy(tmp_path):
+    for name, value in [("C", [[1.0, 0.2], [0.2, 2.0]]), ("P", [[0.3, 0.1], [0.1, -0.4]]),
+                        ("H", [[1.0, 0.1], [0.0, 1.0]])]:
+        fileio.write_matrix(str(tmp_path / f"{name}.json"), np.array(value, dtype=complex))
+    run_python("""
+        import sys
+
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+        import improper
+        assert not scipy_modules(), "import improper"
+        import improper.cli
+        assert not scipy_modules(), "import improper.cli"
+        for argv in (["validate", "C.json", "P.json"],
+                     ["entropy", "C.json", "P.json"],
+                     ["capacity", "H.json", "C.json", "P.json", "--power", "20",
+                      "--loss", "--output", "cap"],
+                     ["analog-sample", "C.json", "P.json", "--samples", "500",
+                      "--output", "analog"]):
+            assert improper.cli.main(argv) == 0, argv
+            assert not scipy_modules(), argv
+        """, cwd=tmp_path)
+
+
+def test_estimators_and_verify_still_load_scipy(tmp_path):
+    out = run_python("""
+        import sys
+        import numpy as np
+        import improper
+        from improper import entropy, second_order as so
+
+        x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 2000, seed=3)
+        h = entropy.knn_entropy(x)
+        assert "scipy.spatial" in sys.modules and "scipy.special" in sys.modules
+        import scipy.spatial
+        assert entropy.cKDTree is scipy.spatial.cKDTree
+        import improper.cli
+        assert improper.cli.main(["verify", "--suite", "analog"]) == 0
+        assert "scipy.stats" in sys.modules
+        print(repr(h.value))
+        """, cwd=tmp_path)
+    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 2000, seed=3)
+    # same estimate in a fresh interpreter as with scipy loaded up front
+    assert float(out.strip().splitlines()[-1]) == entropy.knn_entropy(x).value
+
+
+def test_estimators_build_trees_with_the_module_attribute(monkeypatch):
+    real = entropy.cKDTree
+    built = []
+
+    class CountingTree:
+        def __init__(self, data, *args, **kwargs):
+            built.append(len(data))
+            self._tree = real(data, *args, **kwargs)
+
+        def query(self, x, *args, **kwargs):
+            return self._tree.query(x, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "cKDTree", CountingTree)
+    pair = so.SecondOrderPair.proper(np.eye(1))
+    a = so.sample_gaussian(pair, 1000, seed=5)
+    b = so.sample_gaussian(pair, 1000, seed=6)
+    entropy.knn_entropy(a)
+    entropy.knn_kl_divergence(a, b)
+    assert built == [1000, 1000, 1000]

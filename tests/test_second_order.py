@@ -24,6 +24,17 @@ def test_pair_shape_checks():
         so.SecondOrderPair(cov=np.eye(2), pcov=np.zeros((2, 2)), mean=np.zeros(3))
 
 
+def test_validate_pair_rejects_empty_matrices():
+    with pytest.raises(DimensionMismatch):
+        so.validate_pair(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def test_circularity_spectrum_rejects_empty_pair():
+    # the pair type refuses n = 0, so no spectrum of an empty pair can be asked for
+    with pytest.raises(DimensionMismatch):
+        so.circularity_spectrum(so.SecondOrderPair(cov=np.zeros((0, 0)), pcov=np.zeros((0, 0))))
+
+
 def test_proper_constructor():
     pair = so.SecondOrderPair.proper(2 * np.eye(3))
     np.testing.assert_array_equal(pair.pcov, np.zeros((3, 3)))
