@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, second_order, transforms
+from . import second_order, transforms
 from .entropy import (
     DEFAULT_K,
     _grouped_jackknife_stderr,
@@ -121,8 +121,9 @@ class AnalogGaussianModel:
 
     whitener maps x to standardized coordinates y = W x in which the Gaussian
     has identity covariance and diagonal real complementary covariance
-    diag(lambdas); built from the generalized Cholesky factor of C and the
-    Takagi factorization of B^-1 P B^-T.
+    diag(lambdas): W = Q^H B^-1, with the whitener B^-1 = diag(1/sqrt(d)) U^H
+    and the Takagi factorization B^-1 P B^-T = Q diag(lambdas) Q^T, both
+    read from the pair's cached factorization.
     """
 
     pair: second_order.SecondOrderPair
@@ -134,17 +135,14 @@ def analog_gaussian_model(pair: second_order.SecondOrderPair) -> AnalogGaussianM
     """Build the standardized model for a zero-mean pair with all lambda < 1."""
     if np.max(np.abs(pair.mean)) > 0.0:
         raise InvalidPair("NONZERO_MEAN", "analog Gaussian density requires zero mean")
-    v = second_order.validate_pair(pair.cov, pair.pcov)
-    if not v.valid:
-        raise InvalidPair(v.reason)
-    b = linalg.generalized_cholesky(pair.cov)
-    b_inv = np.linalg.inv(b)
-    m = b_inv @ pair.pcov @ b_inv.T
-    fac = linalg.takagi(0.5 * (m + m.T))
+    factors = pair.factors
+    if not factors.validity.valid:
+        raise InvalidPair(factors.validity.reason)
+    fac = factors.takagi
     lambdas = fac.sigma
-    if lambdas.size and lambdas[0] >= 1.0 - 1e-10:
+    if lambdas[0] >= 1.0 - 1e-10:
         raise SpectrumAtOne(f"max circularity coefficient {lambdas[0]:.12g}")
-    whitener = fac.q.conj().T @ b_inv
+    whitener = fac.q.conj().T @ factors.b_inv
     return AnalogGaussianModel(pair=pair, whitener=whitener, lambdas=lambdas)
 
 

@@ -13,6 +13,12 @@ covariance actively cancels the noise's. capacity_loss quantifies the rate
 forfeited by a transceiver designed as if the noise were proper; it is
 always below n log(2/sqrt(3)).
 
+A ChannelSpec is immutable and solved once, on first use: the assumption
+checks, the singular values of H, H^-1 and H^-1 C_z H^-H are cached on the
+spec (ChannelSpec.factors), and the noise pair's own cached factorization
+supplies its validity, eigenvalues and circularity coefficients, so
+check_assumptions, solve_capacity and capacity_loss on one spec share them.
+
 Out-of-assumption specs are rejected with a precise violation list rather
 than approximated: no general low-SNR water-filling is implemented, because
 the closed form above relies on the level exceeding every noise eigenvalue.
@@ -26,6 +32,7 @@ proper-noise channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,26 +65,36 @@ HIGH_SNR = "HIGH_SNR"
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Square channel matrix, zero-mean noise pair, average power budget."""
+    """Square channel matrix, zero-mean noise pair, average power budget.
+
+    Holds a read-only copy of H; the noise pair is immutable too, so the
+    solve cached in ``factors`` cannot go stale.
+    """
 
     h: np.ndarray
     noise: second_order.SecondOrderPair
     power: float
 
     def __post_init__(self):
-        h = linalg.as_complex(self.h)
+        h = np.array(linalg.as_complex(self.h))
         if h.shape[0] != h.shape[1]:
             raise DimensionMismatch("channel matrix must be square")
         if h.shape[0] != self.noise.dim:
             raise DimensionMismatch("channel and noise dimensions differ")
         if not np.isfinite(self.power) or self.power < 0:
             raise ValueError("power budget must be a non-negative real")
+        h.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "power", float(self.power))
 
     @property
     def dim(self) -> int:
         return self.h.shape[0]
+
+    @cached_property
+    def factors(self) -> "ChannelFactors":
+        """The spec's one solve, computed on first use."""
+        return _factor_channel(self)
 
 
 @dataclass(frozen=True)
@@ -88,6 +105,23 @@ class Violation:
     measured: float
     threshold: float
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class ChannelFactors:
+    """What every capacity quantity of one spec reads.
+
+    violations: the assumption list of check_assumptions. h_sv: singular
+    values of H. h_inv = H^-1 and g = H^-1 C_z H^-H (the noise referred to
+    the channel input), with g_norm = ||g||_2: None / nan when a violation
+    stopped the checks before they were needed.
+    """
+
+    violations: tuple
+    h_sv: np.ndarray
+    h_inv: np.ndarray | None = None
+    g: np.ndarray | None = None
+    g_norm: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -110,10 +144,16 @@ def check_assumptions(spec: ChannelSpec) -> list[Violation]:
     Empty list = admissible: H non-singular, noise zero-mean with valid
     non-singular (C_z, P_z), every noise circularity coefficient strictly
     below 1, and the high-SNR condition S >= 2n * ||H^-1 C_z H^-H||_2
-    (boundary included).
+    (boundary included). Read from the spec's cached solve.
     """
+    return list(spec.factors.violations)
+
+
+def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
+    """Check the assumptions once, keeping the factors the solvers read."""
     out = []
     sv = np.linalg.svd(spec.h, compute_uv=False)
+    sv.flags.writeable = False
     h_ok = sv[-1] > 1e-12 * max(sv[0], linalg.ABS_FLOOR)
     if not h_ok:
         out.append(Violation(H_SINGULAR, float(sv[-1]), float(1e-12 * sv[0]),
@@ -121,32 +161,31 @@ def check_assumptions(spec: ChannelSpec) -> list[Violation]:
     mean_mag = float(np.max(np.abs(spec.noise.mean))) if spec.noise.dim else 0.0
     if mean_mag > 0.0:
         out.append(Violation(NOISE_MEAN_NONZERO, mean_mag, 0.0, "noise must be zero-mean"))
-    v = second_order.validate_pair(spec.noise.cov, spec.noise.pcov)
+    v = spec.noise.factors.validity
     if v.reason == second_order.C_SINGULAR:
         out.append(Violation(NOISE_COV_SINGULAR, 0.0, 0.0, "noise covariance singular"))
-        return out
+        return ChannelFactors(tuple(out), sv)
     if v.reason in (second_order.C_NOT_HERMITIAN, second_order.C_NOT_PSD,
                     second_order.P_NOT_SYMMETRIC):
         out.append(Violation(NOISE_PAIR_INVALID, float("nan"), float("nan"), v.reason))
-        return out
+        return ChannelFactors(tuple(out), sv)
     # valid pair or SPECTRUM_EXCEEDS_ONE: max_lambda is measured either way
     if v.max_lambda >= 1.0 - 1e-10:
         out.append(Violation(SPECTRUM_AT_ONE, float(v.max_lambda), 1.0 - 1e-10,
                              "noise circularity coefficient at or beyond 1"))
-    if h_ok:
-        g = _noise_at_receiver(spec)
-        thr = 2.0 * spec.dim * linalg.operator_norm(g)
-        if spec.power + 1e-12 * max(1.0, thr) < thr:
-            out.append(Violation(HIGH_SNR, float(spec.power), float(thr),
-                                 "power below the high-SNR threshold 2n||H^-1 C_z H^-H||"))
-    return out
-
-
-def _noise_at_receiver(spec: ChannelSpec) -> np.ndarray:
-    """H^-1 C_z H^-H, the noise covariance referred to the channel input."""
+    if not h_ok:
+        return ChannelFactors(tuple(out), sv)
     h_inv = np.linalg.inv(spec.h)
     g = h_inv @ spec.noise.cov @ h_inv.conj().T
-    return 0.5 * (g + g.conj().T)
+    g = 0.5 * (g + g.conj().T)
+    g_norm = linalg.operator_norm(g)
+    thr = 2.0 * spec.dim * g_norm
+    if spec.power + 1e-12 * max(1.0, thr) < thr:
+        out.append(Violation(HIGH_SNR, float(spec.power), float(thr),
+                             "power below the high-SNR threshold 2n||H^-1 C_z H^-H||"))
+    for a in (h_inv, g):
+        a.flags.writeable = False
+    return ChannelFactors(tuple(out), sv, h_inv, g, g_norm)
 
 
 def solve_capacity(spec: ChannelSpec) -> CapacityResult:
@@ -156,22 +195,20 @@ def solve_capacity(spec: ChannelSpec) -> CapacityResult:
     specs; otherwise returns the capacity in nats, the optimal input pair
     (trace C_x = S, P_x = -H^-1 P_z H^-T) and the water level L.
     """
-    violations = check_assumptions(spec)
-    if violations:
-        raise AssumptionViolated(violations)
+    fac = spec.factors
+    if fac.violations:
+        raise AssumptionViolated(fac.violations)
     n = spec.dim
-    g = _noise_at_receiver(spec)
-    t = float(np.trace(g).real)
+    t = float(np.trace(fac.g).real)
     s_plus_t = spec.power + t
     level = s_plus_t / n
-    c_x = level * np.eye(n) - g
+    c_x = level * np.eye(n) - fac.g
     c_x = 0.5 * (c_x + c_x.conj().T)
-    h_inv = np.linalg.inv(spec.h)
-    p_x = -h_inv @ spec.noise.pcov @ h_inv.T
+    p_x = -fac.h_inv @ spec.noise.pcov @ fac.h_inv.T
     p_x = 0.5 * (p_x + p_x.T)
     lambdas = second_order.circularity_spectrum(spec.noise)
     _, logdet_h = np.linalg.slogdet(spec.h)
-    _, d_z = linalg.hermitian_eig(spec.noise.cov)
+    d_z = spec.noise.factors.d
     capacity = (
         2.0 * logdet_h
         + n * np.log(s_plus_t)
@@ -194,13 +231,12 @@ def capacity_loss(spec: ChannelSpec) -> CapacityLossResult:
     mu_i are the singular values of (n / (S + tr)) * H^-1 P_z H^-T; the loss
     is -0.5 sum log(1 - mu_i^2), always in [0, n log(2/sqrt(3))).
     """
-    violations = check_assumptions(spec)
-    if violations:
-        raise AssumptionViolated(violations)
+    fac = spec.factors
+    if fac.violations:
+        raise AssumptionViolated(fac.violations)
     n = spec.dim
-    t = float(np.trace(_noise_at_receiver(spec)).real)
-    h_inv = np.linalg.inv(spec.h)
-    scaled = (n / (spec.power + t)) * (h_inv @ spec.noise.pcov @ h_inv.T)
+    t = float(np.trace(fac.g).real)
+    scaled = (n / (spec.power + t)) * (fac.h_inv @ spec.noise.pcov @ fac.h_inv.T)
     mus = np.linalg.svd(scaled, compute_uv=False)
     delta = -0.5 * float(np.sum(np.log1p(-(mus**2))))
     return CapacityLossResult(delta_c_nats=delta, mus=mus)
@@ -250,7 +286,7 @@ def mc_mutual_information(
     Deterministic given the seed: two child seeds are derived (input draws,
     then noise draws) via SeedSequence(seed).
     """
-    v = second_order.validate_pair(input_pair.cov, input_pair.pcov)
+    v = input_pair.factors.validity
     if not v.valid:
         raise InvalidPair(v.reason)
     tr = float(np.trace(input_pair.cov).real)

@@ -128,13 +128,11 @@ def _emit_report(args, name, flags, body) -> None:
 
 
 def cmd_validate(args) -> int:
-    c = read_matrix(args.cov_file)
-    p = read_matrix(args.pcov_file)
-    result = second_order.validate_pair(c, p)
+    pair = _load_pair(args.cov_file, args.pcov_file)
+    result = pair.factors.validity
     body = {"valid": result.valid, "reason": result.reason}
     if result.valid:
-        lams = second_order.circularity_spectrum(
-            second_order.SecondOrderPair(cov=c, pcov=p))
+        lams = second_order.circularity_spectrum(pair)
         print(f"valid, lambda_max={result.max_lambda!r}")
         print("spectrum: " + " ".join(repr(float(v)) for v in lams))
         body["lambda_max"] = result.max_lambda
@@ -151,7 +149,7 @@ def cmd_validate(args) -> int:
 def cmd_entropy(args) -> int:
     pair = _load_pair(args.cov_file, args.pcov_file)
     ent = complex_gaussian_entropy(pair)
-    bound = neeser_massey_bound(pair.cov)
+    bound = neeser_massey_bound(pair)
     lams = second_order.circularity_spectrum(pair)
     scale, unit = _unit(args)
     print(f"entropy: {ent.value / scale!r} {unit}")

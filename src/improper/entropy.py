@@ -10,6 +10,12 @@ Closed forms
 * max_entropy_bound(pair)       = same value as a bound: no distribution with
   second-order pair (C, P) has larger entropy
 
+Given a pair, these read its cached factorization (second_order.PairFactors):
+the eigenvalues of C give log det(pi e C), the validity verdict gates the
+entropy, and the circularity coefficients give the correction, so a pair is
+factored once however many of them are asked for. neeser_massey_bound also
+takes a bare matrix C, which it factors once per call.
+
 All values are in nats. The complex closed form always agrees with
 real_gaussian_entropy(real_covariance(pair)): a complex Gaussian is the
 Gaussian of its real representation.
@@ -66,8 +72,8 @@ class EntropyValue:
 def real_gaussian_entropy(s) -> EntropyValue:
     """Entropy of a real Gaussian with covariance S: 0.5 log det(2 pi e S)."""
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionMismatch("covariance must be square")
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
+        raise DimensionMismatch("covariance must be non-empty and square")
     scale = max(np.linalg.norm(s), linalg.ABS_FLOOR)
     if np.linalg.norm(s - s.T) > linalg.SYM_RTOL * scale:
         raise NotPositiveDefinite("covariance must be symmetric")
@@ -80,10 +86,16 @@ def real_gaussian_entropy(s) -> EntropyValue:
 
 
 def neeser_massey_bound(c) -> EntropyValue:
-    """Covariance-only entropy bound log det(pi e C) (equality: proper Gaussian)."""
-    u, d = linalg.hermitian_eig(c)
-    scale = max(abs(d[0]), abs(d[-1]), linalg.ABS_FLOOR)
-    if d[-1] <= linalg.EIG_RTOL * scale:
+    """Covariance-only entropy bound log det(pi e C) (equality: proper Gaussian).
+
+    c is a Hermitian matrix, or a SecondOrderPair whose cached factorization
+    supplies the eigenvalues of its C.
+    """
+    if isinstance(c, second_order.SecondOrderPair):
+        d = c.factors.cov_eigenvalues()
+    else:
+        _, d = linalg.hermitian_eig(c)
+    if d[-1] <= linalg.EIG_RTOL * max(abs(d[0]), abs(d[-1])):
         raise NotPositiveDefinite(f"smallest eigenvalue {d[-1]:.3e} not positive")
     value = float(np.sum(np.log(np.pi * np.e * d)))
     return EntropyValue(value=value, method=CLOSED_FORM)
@@ -95,13 +107,13 @@ def complex_gaussian_entropy(pair: second_order.SecondOrderPair) -> EntropyValue
     log det(pi e C) + 0.5 sum log(1 - lambda_i^2); requires every circularity
     coefficient below 1 (SpectrumAtOne otherwise) and a valid non-singular pair.
     """
-    v = second_order.validate_pair(pair.cov, pair.pcov)
-    if not v.valid:
-        raise InvalidPair(v.reason)
-    lambdas = second_order.circularity_spectrum(pair)
-    if lambdas.size and lambdas[0] >= 1.0 - SPECTRUM_TOL:
+    factors = pair.factors
+    if not factors.validity.valid:
+        raise InvalidPair(factors.validity.reason)
+    lambdas = factors.lambdas
+    if lambdas[0] >= 1.0 - SPECTRUM_TOL:
         raise SpectrumAtOne(f"max circularity coefficient {lambdas[0]:.12g}")
-    base = neeser_massey_bound(pair.cov).value
+    base = neeser_massey_bound(pair).value
     value = base + 0.5 * float(np.sum(np.log1p(-(lambdas**2))))
     return EntropyValue(value=value, method=CLOSED_FORM)
 

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite, NotSymmetric
 
-# Relative tolerances used by the symmetry / definiteness checks, with an
-# absolute floor so that A ~ 0 does not turn them into zero tolerances.
+# Relative tolerances used by the symmetry / definiteness checks. The
+# Hermitian-eigenvalue path measures them against the matrix's own scale, so
+# its verdicts do not change when the input is rescaled; the other checks
+# keep an absolute floor so that A ~ 0 does not turn them into zero
+# tolerances.
 SYM_RTOL = 1e-10
 EIG_RTOL = 1e-12
 ABS_FLOOR = 1e-12
@@ -93,12 +96,14 @@ def operator_norm(a) -> float:
 def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix: (U, d), A = U diag(d) U^H.
 
-    d is real, sorted descending. Raises NotHermitian if the input is not
-    Hermitian within relative tolerance.
+    d is real, sorted descending. Raises DimensionMismatch unless the input is
+    a non-empty square matrix, and NotHermitian if it is not Hermitian within
+    tolerance relative to its own norm.
     """
     a = as_complex(a)
-    scale = max(np.linalg.norm(a), ABS_FLOOR)
-    if np.linalg.norm(a - a.conj().T) > SYM_RTOL * scale:
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got {a.shape}")
+    if np.linalg.norm(a - a.conj().T) > SYM_RTOL * np.linalg.norm(a):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     d, u = np.linalg.eigh(0.5 * (a + a.conj().T))
     idx = np.argsort(d)[::-1]
@@ -110,11 +115,10 @@ def generalized_cholesky(a) -> np.ndarray:
 
     Built from the eigendecomposition, B = U diag(sqrt(d)); any other factor
     differs from this one by a right unitary. Raises NotPositiveDefinite when
-    the smallest eigenvalue is not safely positive.
+    the smallest eigenvalue is not safely positive relative to the largest.
     """
     u, d = hermitian_eig(a)
-    scale = max(abs(d[0]), abs(d[-1]), ABS_FLOOR)
-    if d[-1] <= EIG_RTOL * scale:
+    if d[-1] <= EIG_RTOL * max(abs(d[0]), abs(d[-1])):
         raise NotPositiveDefinite(
             f"smallest eigenvalue {d[-1]:.3e} fails the positivity threshold"
         )
@@ -204,6 +208,9 @@ def takagi(a) -> TakagiFactorization:
     for blk in _degeneracy_blocks(s, TAKAGI_GAP_RTOL * s[0]):
         if s[blk][0] <= zero_tol:
             sqrt_w[blk, blk] = np.eye(blk.stop - blk.start)
+        elif blk.stop - blk.start == 1:
+            # a 1 x 1 block is a phase e^{it}; its root e^{it/2} needs no eigh
+            sqrt_w[blk, blk] = np.exp(0.5j * np.angle(w[blk, blk]))
         else:
             sqrt_w[blk, blk] = _symmetric_unitary_sqrt(w[blk, blk])
     return TakagiFactorization(q=u @ sqrt_w, sigma=s)

@@ -6,16 +6,29 @@ validates, embeds and samples such (C, P) pairs:
 
 * real_covariance / pair_from_real_covariance: the 2n x 2n real covariance
   of the stacked [Re x; Im x] vector and its inverse map,
-* circularity_spectrum: the singular values lambda_i of B^-1 P B^-T where
-  B B^H = C; a valid pair has every lambda_i <= 1,
+* PairFactors: the one factorization of a pair, read by everything below.
+  One eigendecomposition C = U diag(d) U^H gives the whitener
+  B^-1 = diag(1/sqrt(d)) U^H; one SVD of the coherence matrix
+  M = B^-1 P B^-T gives the circularity coefficients; the Takagi
+  factorization of M (the canonical coordinates) is taken on first use,
+* circularity_spectrum: the singular values lambda_i of M; a valid pair has
+  every lambda_i <= 1,
 * validate_pair: the full admissibility check with a machine-readable reason,
 * sample_gaussian / empirical_pair: seeded Gaussian sampling and 1/N moment
   estimation.
+
+A SecondOrderPair holds read-only copies of C and P and factors them on
+first use (``pair.factors``); every later spectrum, validity verdict,
+entropy, analog model or capacity solve of that pair reads the same
+factorization. Functions given raw arrays, such as validate_pair(c, p),
+factor them once per call. The validity tests are relative to the scale of
+the matrix they test, so rescaling a pair does not change its verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +36,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     InvalidPair,
+    NotHermitian,
     NotPositiveSemidefinite,
     NotSymmetric,
     SingularCovariance,
@@ -53,38 +67,9 @@ def _check_pair_shapes(cov, pcov) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SecondOrderPair:
-    """Mean, covariance and complementary covariance of a complex vector."""
-
-    cov: np.ndarray
-    pcov: np.ndarray
-    mean: np.ndarray = None
-
-    def __post_init__(self):
-        cov = linalg.as_complex(self.cov)
-        pcov = linalg.as_complex(self.pcov)
-        _check_pair_shapes(cov, pcov)
-        mean = self.mean
-        if mean is None:
-            mean = np.zeros(cov.shape[0], dtype=complex)
-        else:
-            mean = np.asarray(mean, dtype=complex).reshape(-1)
-            if mean.shape[0] != cov.shape[0]:
-                raise DimensionMismatch("mean length must match C")
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "pcov", pcov)
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def dim(self) -> int:
-        return self.cov.shape[0]
-
-    @classmethod
-    def proper(cls, cov) -> "SecondOrderPair":
-        """Pair with vanishing complementary covariance (proper vector)."""
-        cov = linalg.as_complex(cov)
-        return cls(cov=cov, pcov=np.zeros_like(cov))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -92,6 +77,130 @@ class PairValidity:
     valid: bool
     reason: str
     max_lambda: float
+
+
+@dataclass(frozen=True)
+class PairFactors:
+    """The one factorization of a pair (C, P); built by _factor_pair.
+
+    d: eigenvalues of C, descending (None when C is not Hermitian).
+    b_inv: the whitener B^-1 = diag(1/sqrt(d)) U^H, with B B^H = C.
+    m: the coherence matrix B^-1 P B^-T; lambdas: its singular values,
+    descending (b_inv, m and lambdas are None unless C is positive definite).
+    validity: the admissibility verdict of the pair.
+    error: (exception type, message) that spectrum() raises when the
+    circularity coefficients are undefined, else None.
+    All arrays are read-only.
+    """
+
+    validity: PairValidity
+    d: np.ndarray | None = None
+    b_inv: np.ndarray | None = None
+    m: np.ndarray | None = None
+    lambdas: np.ndarray | None = None
+    error: tuple | None = None
+
+    def _raise(self):
+        kind, message = self.error
+        raise kind(message)
+
+    def cov_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of C, descending; raises NotHermitian if C is not Hermitian."""
+        if self.d is None:
+            self._raise()
+        return self.d
+
+    def spectrum(self) -> np.ndarray:
+        """Circularity coefficients; raises what makes them undefined (a fresh exception)."""
+        if self.lambdas is None:
+            self._raise()
+        return self.lambdas
+
+    @cached_property
+    def takagi(self) -> linalg.TakagiFactorization:
+        """Takagi factorization M = Q diag(sigma) Q^T, computed on first use."""
+        self.spectrum()  # raises when C is not positive definite (M undefined)
+        fac = linalg.takagi(0.5 * (self.m + self.m.T))
+        _read_only(fac.q)
+        _read_only(fac.sigma)
+        return fac
+
+
+def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
+    """Factor a pair of equal-shape non-empty complex matrices once.
+
+    Checks that C is Hermitian, takes one eigendecomposition of C, forms
+    B^-1 and M = B^-1 P B^-T, and takes one values-only SVD of M. The
+    verdict is that of validate_pair: the first failed check names the
+    reason. Each test is relative to the scale of the matrix it tests.
+    """
+    try:
+        u, d = linalg.hermitian_eig(c)
+    except NotHermitian as exc:
+        return PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")),
+                           error=(NotHermitian, str(exc)))
+    _read_only(d)
+    scale = max(abs(d[0]), abs(d[-1]))
+    if d[-1] <= SINGULAR_RTOL * scale:
+        reason = C_NOT_PSD if d[-1] < -PSD_RTOL * scale else C_SINGULAR
+        return PairFactors(
+            PairValidity(False, reason, float("nan")), d=d,
+            error=(SingularCovariance,
+                   f"C smallest eigenvalue {d[-1]:.3e} below singularity threshold"))
+    b_inv = (u / np.sqrt(d)).conj().T  # B^-1 = diag(1/sqrt(d)) U^H
+    m = b_inv @ p @ b_inv.T
+    lambdas = np.linalg.svd(m, compute_uv=False)
+    max_lambda = float(lambdas[0])
+    if np.linalg.norm(p - p.T) > linalg.SYM_RTOL * np.linalg.norm(p):
+        validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
+    elif max_lambda > 1.0 + LAMBDA_TOL:
+        validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
+    else:
+        validity = PairValidity(True, OK, max_lambda)
+    return PairFactors(validity, d=d, b_inv=_read_only(b_inv), m=_read_only(m),
+                       lambdas=_read_only(lambdas))
+
+
+@dataclass(frozen=True)
+class SecondOrderPair:
+    """Mean, covariance and complementary covariance of a complex vector.
+
+    Holds read-only copies of its arrays (the caller's stay writeable and
+    unshared), so the factorization cached in ``factors`` cannot go stale.
+    """
+
+    cov: np.ndarray
+    pcov: np.ndarray
+    mean: np.ndarray = None
+
+    def __post_init__(self):
+        cov = np.array(linalg.as_complex(self.cov))
+        pcov = np.array(linalg.as_complex(self.pcov))
+        _check_pair_shapes(cov, pcov)
+        if self.mean is None:
+            mean = np.zeros(cov.shape[0], dtype=complex)
+        else:
+            mean = np.array(self.mean, dtype=complex).reshape(-1)
+            if mean.shape[0] != cov.shape[0]:
+                raise DimensionMismatch("mean length must match C")
+        object.__setattr__(self, "cov", _read_only(cov))
+        object.__setattr__(self, "pcov", _read_only(pcov))
+        object.__setattr__(self, "mean", _read_only(mean))
+
+    @property
+    def dim(self) -> int:
+        return self.cov.shape[0]
+
+    @cached_property
+    def factors(self) -> PairFactors:
+        """The pair's factorization, computed on first use."""
+        return _factor_pair(self.cov, self.pcov)
+
+    @classmethod
+    def proper(cls, cov) -> "SecondOrderPair":
+        """Pair with vanishing complementary covariance (proper vector)."""
+        cov = linalg.as_complex(cov)
+        return cls(cov=cov, pcov=np.zeros_like(cov))
 
 
 @dataclass(frozen=True)
@@ -138,8 +247,8 @@ def pair_from_real_covariance(s) -> SecondOrderPair:
     Round-trips with real_covariance. Raises NotSymmetric / NotPositiveSemidefinite.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
-        raise DimensionMismatch("expected a square 2n x 2n real matrix")
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0 or s.size == 0:
+        raise DimensionMismatch("expected a non-empty square 2n x 2n real matrix")
     scale = max(np.linalg.norm(s), linalg.ABS_FLOOR)
     if np.linalg.norm(s - s.T) > linalg.SYM_RTOL * scale:
         raise NotSymmetric("real covariance must be symmetric")
@@ -158,19 +267,11 @@ def circularity_spectrum(pair: SecondOrderPair) -> np.ndarray:
     """Circularity coefficients: singular values of B^-1 P B^-T, descending.
 
     B is any factor with B B^H = C; the spectrum does not depend on which.
-    Raises SingularCovariance when C is singular (the coefficients are then
-    undefined).
+    Read from the pair's cached factorization. Raises NotHermitian when C is
+    not Hermitian and SingularCovariance when C is singular (the
+    coefficients are then undefined).
     """
-    u, d = linalg.hermitian_eig(pair.cov)
-    scale = max(abs(d[0]), abs(d[-1]), linalg.ABS_FLOOR)
-    if d[-1] <= SINGULAR_RTOL * scale:
-        raise SingularCovariance(
-            f"C smallest eigenvalue {d[-1]:.3e} below singularity threshold"
-        )
-    b = u * np.sqrt(d)
-    b_inv = (u / np.sqrt(d)).conj().T  # B^-1 = diag(1/sqrt(d)) U^H
-    m = b_inv @ pair.pcov @ b_inv.T
-    return np.linalg.svd(m, compute_uv=False)
+    return pair.factors.spectrum().copy()
 
 
 def validate_pair(c, p) -> PairValidity:
@@ -179,28 +280,14 @@ def validate_pair(c, p) -> PairValidity:
     Valid iff C is Hermitian, positive semidefinite and non-singular, P is
     symmetric, and every circularity coefficient is <= 1 (closed bound, with
     1e-10 slack so round-off cannot flip the verdict). The first failed check
-    names the reason.
+    names the reason. Each test is relative to the scale of the matrix it
+    tests. For a SecondOrderPair, ``pair.factors.validity`` is the same
+    verdict without a second factorization.
     """
     c = linalg.as_complex(c)
     p = linalg.as_complex(p)
     _check_pair_shapes(c, p)
-    c_scale = max(np.linalg.norm(c), linalg.ABS_FLOOR)
-    if np.linalg.norm(c - c.conj().T) > linalg.SYM_RTOL * c_scale:
-        return PairValidity(False, C_NOT_HERMITIAN, float("nan"))
-    eigs = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    eig_scale = max(abs(eigs[0]), abs(eigs[-1]), linalg.ABS_FLOOR)
-    if eigs[0] < -PSD_RTOL * eig_scale:
-        return PairValidity(False, C_NOT_PSD, float("nan"))
-    if eigs[0] <= SINGULAR_RTOL * eig_scale:
-        return PairValidity(False, C_SINGULAR, float("nan"))
-    p_scale = max(np.linalg.norm(p), linalg.ABS_FLOOR)
-    if np.linalg.norm(p - p.T) > linalg.SYM_RTOL * p_scale:
-        return PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
-    lambdas = circularity_spectrum(SecondOrderPair(cov=c, pcov=p))
-    max_lambda = float(lambdas[0]) if lambdas.size else 0.0
-    if max_lambda > 1.0 + LAMBDA_TOL:
-        return PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
-    return PairValidity(True, OK, max_lambda)
+    return _factor_pair(c, p).validity
 
 
 def underline_P_eigen_check(pair: SecondOrderPair):
@@ -233,7 +320,7 @@ def sample_gaussian(pair: SecondOrderPair, count: int, seed: int) -> SampleSet:
     eigenvalues of the real covariance (round-off at the lambda = 1 boundary)
     are clipped to zero, so degenerate pairs sample on their forced subspace.
     """
-    v = validate_pair(pair.cov, pair.pcov)
+    v = pair.factors.validity
     if not v.valid:
         raise InvalidPair(v.reason)
     s = real_covariance(pair)

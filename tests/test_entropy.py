@@ -31,6 +31,24 @@ def test_real_gaussian_entropy_rejects():
         entropy.real_gaussian_entropy(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_real_gaussian_entropy_rejects_empty():
+    with pytest.raises(DimensionMismatch):
+        entropy.real_gaussian_entropy(np.zeros((0, 0)))
+
+
+def test_neeser_massey_rejects_empty():
+    with pytest.raises(DimensionMismatch):
+        entropy.neeser_massey_bound(np.zeros((0, 0)))
+
+
+def test_neeser_massey_from_pair_equals_matrix_route():
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c = g @ g.conj().T + 0.1 * np.eye(3)
+    pair = so.SecondOrderPair(cov=c, pcov=np.zeros((3, 3)))
+    assert entropy.neeser_massey_bound(pair).value == entropy.neeser_massey_bound(c).value
+
+
 def test_neeser_massey_scalar():
     b = entropy.neeser_massey_bound(np.eye(1))
     assert b.value == pytest.approx(LOG_PI_E, abs=0.0)

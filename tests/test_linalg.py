@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from improper import linalg
-from improper.errors import NotHermitian, NotPositiveDefinite, NotSymmetric
+from improper.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite, NotSymmetric
 
 
 def test_real_vector_layout():
@@ -111,6 +111,20 @@ def test_generalized_cholesky_rejects_singular_and_indefinite():
         linalg.generalized_cholesky(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
         linalg.generalized_cholesky(np.array([[-1.0]]))
+
+
+def test_generalized_cholesky_rejects_empty():
+    with pytest.raises(DimensionMismatch):
+        linalg.generalized_cholesky(np.zeros((0, 0)))
+
+
+def test_takagi_one_by_one_root_matches_general_path():
+    # takagi takes the root of a 1 x 1 block as exp(i angle / 2); the general
+    # symmetric-unitary root must give the same bits
+    rng = np.random.default_rng(13)
+    for t in rng.uniform(-np.pi, np.pi, 2000):
+        w = np.array([[np.exp(1j * t)]])
+        assert linalg._symmetric_unitary_sqrt(w)[0, 0] == np.exp(0.5j * np.angle(w[0, 0]))
 
 
 def test_takagi_diagonal_case():

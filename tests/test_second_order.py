@@ -83,6 +83,45 @@ def test_pair_from_real_covariance_rejects_bad_input():
         so.pair_from_real_covariance(np.eye(3))
 
 
+def test_pair_from_real_covariance_rejects_empty():
+    with pytest.raises(DimensionMismatch):
+        so.pair_from_real_covariance(np.zeros((0, 0)))
+
+
+def _scaled_cases():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c = g @ g.conj().T + 0.2 * np.eye(3)
+    d, u = np.linalg.eigh(c)
+    b = u * np.sqrt(d)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    p = b @ q @ np.diag([0.9, 0.4, 0.1]) @ q.T @ b.T
+    p = 0.5 * (p + p.T)
+    p_big = b @ q @ np.diag([1.3, 0.4, 0.1]) @ q.T @ b.T
+    return [
+        (c, p, so.OK),
+        (c, 0.5 * (p_big + p_big.T), so.SPECTRUM_EXCEEDS_ONE),
+        (c + 0.5j * np.triu(np.ones((3, 3)), 1), p, so.C_NOT_HERMITIAN),
+        (np.diag([1.0, 0.5, -0.5]), np.zeros((3, 3)), so.C_NOT_PSD),
+        (np.diag([1.0, 0.5, 0.0]), np.zeros((3, 3)), so.C_SINGULAR),
+        (c, p + 0.1 * np.triu(np.ones((3, 3)), 1), so.P_NOT_SYMMETRIC),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-30, 1e-12, 1e12, 1e30, 1e100, 1e150])
+def test_verdicts_and_spectrum_are_scale_free(scale):
+    for c, p, reason in _scaled_cases():
+        at_one = so.validate_pair(c, p)
+        scaled = so.validate_pair(scale * c, scale * p)
+        assert at_one.reason == reason
+        assert scaled.reason == reason
+        if reason in (so.OK, so.SPECTRUM_EXCEEDS_ONE):
+            assert scaled.max_lambda == pytest.approx(at_one.max_lambda, rel=1e-12)
+            np.testing.assert_allclose(
+                so.circularity_spectrum(so.SecondOrderPair(cov=scale * c, pcov=scale * p)),
+                so.circularity_spectrum(so.SecondOrderPair(cov=c, pcov=p)), rtol=1e-12)
+
+
 def test_circularity_spectrum_diagonal():
     pair = so.SecondOrderPair(cov=np.eye(2), pcov=np.diag([0.5, 0.2]).astype(complex))
     np.testing.assert_allclose(so.circularity_spectrum(pair), [0.5, 0.2], atol=1e-12)
