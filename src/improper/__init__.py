@@ -48,6 +48,7 @@ from .errors import (
     PowerExceeded,
     SingularCovariance,
     SpectrumAtOne,
+    TiedSamples,
     TooFewSamples,
 )
 from .linalg import (

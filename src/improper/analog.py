@@ -33,7 +33,13 @@ from .entropy import (
     _knn_entropy_points,
     knn_entropy,
 )
-from .errors import DegenerateConditional, InvalidPair, SpectrumAtOne, TooFewSamples
+from .errors import (
+    DegenerateConditional,
+    InvalidPair,
+    SpectrumAtOne,
+    TiedSamples,
+    TooFewSamples,
+)
 
 # Threshold for declaring the phase conditional degenerate: the honest
 # estimate is >= 0 up to a few hundredths of a nat of estimator noise, while
@@ -194,10 +200,11 @@ def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) ->
     estimated with the same kNN machinery; phase coordinates live on [0, 1)
     circles, so the neighbor search uses wrap-around distances there.
 
-    Raises DegenerateConditional when the estimate plunges far below 0. That
-    happens when the reduced representation is itself degenerate (e.g. every
-    sample has the same modulus): repeated reduced points drive its entropy
-    estimate to -infinity while the joint stays finite.
+    Raises DegenerateConditional when the reduced representation is itself
+    degenerate (e.g. every sample has the same modulus): its points tie, so
+    its entropy estimate is -infinity while the joint stays finite. It is
+    also raised when the estimate plunges far below 0 without exact ties.
+    Ties in the full representation (repeated samples) raise TiedSamples.
     """
     if samples.count < 100 * k:
         raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
@@ -205,13 +212,15 @@ def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) ->
     coords = _sheared_coordinates(samples)
     joint_box = np.concatenate([np.zeros(n), np.ones(n)])
     h_joint, _ = _knn_entropy_points(coords, k, boxsize=joint_box)
-    if n == 1:
-        reduced = coords[:, :1]
-        h_reduced, _ = _knn_entropy_points(reduced, k)
-    else:
-        reduced = coords[:, : 2 * n - 1]
-        reduced_box = np.concatenate([np.zeros(n), np.ones(n - 1)])
+    reduced = coords[:, : 2 * n - 1]
+    reduced_box = None if n == 1 else np.concatenate([np.zeros(n), np.ones(n - 1)])
+    try:
         h_reduced, _ = _knn_entropy_points(reduced, k, boxsize=reduced_box)
+    except TiedSamples as exc:
+        raise DegenerateConditional(
+            f"reduced representation is degenerate ({exc}); "
+            "the phase distribution appears to be a point mass"
+        ) from exc
     est = h_reduced - h_joint
     if est < DEGENERATE_THRESHOLD:
         raise DegenerateConditional(

@@ -238,7 +238,8 @@ def capacity_loss(spec: ChannelSpec) -> CapacityLossResult:
     t = float(np.trace(fac.g).real)
     scaled = (n / (spec.power + t)) * (fac.h_inv @ spec.noise.pcov @ fac.h_inv.T)
     mus = np.linalg.svd(scaled, compute_uv=False)
-    delta = -0.5 * float(np.sum(np.log1p(-(mus**2))))
+    # + 0.0 turns the -0.0 of proper noise (every mu_i = 0) into 0.0
+    delta = -0.5 * float(np.sum(np.log1p(-(mus**2)))) + 0.0
     return CapacityLossResult(delta_c_nats=delta, mus=mus)
 
 

@@ -29,6 +29,17 @@ two-sample nearest-neighbor divergence estimator (Wang-Kulkarni-Verdu),
 clamped at zero. Estimator accuracy is calibrated for dimensions 2n <= 10
 at sample sizes around 1e5; tolerances in the test-suite are frozen there.
 
+The kd-tree query dominates their cost. Each query asks for the k-th
+neighbor distance alone and visits the points along a Z-order (Morton)
+curve through their bounding box, so consecutive queries walk the same
+tree nodes while they are still in cache; the distances are scattered
+back to row order. Every point is answered on its own, so the visiting
+order changes the speed and not a bit of the result.
+
+A k-th neighbor distance of 0 (k or more other points at the very same
+place) has no logarithm: the estimators raise TiedSamples, which counts
+the tied points, instead of returning a meaningless value.
+
 Only the estimators need scipy (cKDTree, digamma, gammaln), and they load
 it on first use: the closed forms, and every module that imports them, run
 on numpy alone. The module attribute ``cKDTree`` still resolves to
@@ -48,6 +59,7 @@ from .errors import (
     InvalidPair,
     NotPositiveDefinite,
     SpectrumAtOne,
+    TiedSamples,
     TooFewSamples,
 )
 
@@ -59,7 +71,6 @@ SPECTRUM_TOL = 1e-10
 
 DEFAULT_K = 4
 JACKKNIFE_GROUPS = 10
-_MIN_DIST = 1e-300  # floor under neighbor distances before taking logs
 
 
 @dataclass(frozen=True)
@@ -149,19 +160,68 @@ def _unit_ball_log_volume(d: int) -> float:
     return 0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1.0)
 
 
+def _spatial_order(points: np.ndarray) -> np.ndarray:
+    """Row order along a Z-order (Morton) curve through the points' bounding box.
+
+    Quantises each of the first dims = min(d, 63) coordinates to
+    bits = min(32, 63 // dims) bits, interleaves the bits into one
+    non-negative int64 key per row (bit b of coordinate j lands at bit
+    b * dims + dims - 1 - j) and sorts the keys stably. Rows close in the
+    order are close in space.
+    """
+    n, d = points.shape
+    dims = min(d, 63)
+    bits = min(32, 63 // dims)
+    x = points[:, :dims]
+    lo = x.min(axis=0)
+    span = x.max(axis=0) - lo
+    q = x - lo
+    q *= (2.0**bits - 1.0) / np.where(span > 0, span, 1.0)
+    q = q.astype(np.uint32)
+    # spread[v] moves bit i of the byte v to bit i * dims
+    width = min(bits, 8)
+    byte = np.arange(2**width)
+    spread = np.zeros(2**width, dtype=np.int64)
+    for i in range(width):
+        spread |= ((byte >> i) & 1) << (i * dims)
+    key = np.zeros(n, dtype=np.int64)
+    for lowest in range(0, bits, 8):
+        for j in range(dims):
+            key |= spread[(q[:, j] >> lowest) & 255] << (lowest * dims + dims - 1 - j)
+    return np.argsort(key, kind="stable")
+
+
+def _kth_distance(tree, points: np.ndarray, k: int, order: np.ndarray) -> np.ndarray:
+    """Distance from each row of points to its k-th nearest tree point (k >= 1).
+
+    Queries the rows in the given order and returns the distances in row
+    order; each row is answered on its own, so any order gives the same bits.
+    """
+    dist = np.empty(points.shape[0])
+    dist[order] = tree.query(points[order], k=[k], workers=-1)[0][:, 0]
+    return dist
+
+
+def _check_ties(dist: np.ndarray, what: str) -> None:
+    tied = int(np.count_nonzero(dist == 0.0))
+    if tied:
+        raise TiedSamples(tied, dist.shape[0], what)
+
+
 def _knn_entropy_points(points: np.ndarray, k: int, boxsize=None):
     """Kozachenko-Leonenko estimate on raw d-dimensional points.
 
     Returns (value, per_point_terms); value = mean(per_point_terms).
     boxsize follows cKDTree: per-dimension period, 0 = not periodic.
+    Raises TiedSamples when a point's k-th neighbor distance is 0.
     """
     from scipy.special import digamma
 
     points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
     tree = _kdtree()(points, boxsize=boxsize)
-    dist, _ = tree.query(points, k=k + 1, workers=-1)
-    eps = np.maximum(dist[:, k], _MIN_DIST)
+    eps = _kth_distance(tree, points, k + 1, _spatial_order(points))
+    _check_ties(eps, f"k-th neighbor distance (k={k})")
     const = (
         digamma(n) - digamma(k) + _unit_ball_log_volume(d)
     )
@@ -185,7 +245,8 @@ def knn_entropy(samples: second_order.SampleSet, k: int = DEFAULT_K) -> EntropyV
 
     Runs Kozachenko-Leonenko with Euclidean metric on the stacked real
     representation [Re x; Im x]. The stderr is a delete-group jackknife over
-    the per-point contributions (10 equal index blocks).
+    the per-point contributions (10 equal index blocks). Raises TiedSamples
+    when some point has k or more exact duplicates.
     """
     if samples.count < 100 * k:
         raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
@@ -205,6 +266,7 @@ def knn_kl_divergence(
     For each p-point, compares the k-th neighbor distance within the p-sample
     (self excluded) against the k-th neighbor distance into the q-sample:
     D-hat = (d/N) sum log(nu_i / rho_i) + log(M / (N - 1)).
+    Raises TiedSamples when either distance is 0 for some p-point.
     """
     if p_samples.n != q_samples.n:
         raise DimensionMismatch("sample sets must share the dimension")
@@ -215,11 +277,10 @@ def knn_kl_divergence(
     n, d = x.shape
     m = y.shape[0]
     kdtree = _kdtree()
-    rho = kdtree(x).query(x, k=k + 1, workers=-1)[0][:, k]
-    nu = kdtree(y).query(x, k=k, workers=-1)[0]
-    if k > 1:
-        nu = nu[:, k - 1]
-    rho = np.maximum(rho, _MIN_DIST)
-    nu = np.maximum(nu, _MIN_DIST)
+    order = _spatial_order(x)
+    rho = _kth_distance(kdtree(x), x, k + 1, order)
+    _check_ties(rho, f"k-th neighbor distance within p (k={k})")
+    nu = _kth_distance(kdtree(y), x, k, order)
+    _check_ties(nu, f"k-th neighbor distance into q (k={k})")
     est = d * float(np.mean(np.log(nu) - np.log(rho))) + np.log(m / (n - 1))
     return max(0.0, float(est))

@@ -50,6 +50,18 @@ class TooFewSamples(DomainError):
     """Sample set too small for the requested estimator."""
 
 
+class TiedSamples(DomainError):
+    """Sample points coincide, so a kNN estimator's log-distance is -infinity.
+
+    ``tied`` of the ``count`` points have a k-th neighbor distance of 0.
+    """
+
+    def __init__(self, tied, count, what):
+        self.tied = int(tied)
+        self.count = int(count)
+        super().__init__(f"{self.tied} of {self.count} points tied: {what} is 0")
+
+
 class DegenerateConditional(DomainError):
     """The phase conditional has no density (point mass); the estimate diverges."""
 

@@ -93,6 +93,21 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
+    """Whether ||A - A'|| <= SYM_RTOL ||A|| (Frobenius), A' = A^H or A^T.
+
+    A is divided by its largest absolute entry first, so neither norm
+    overflows or underflows and the verdict does not depend on A's scale.
+    The norms are compared squared (vdot(x, x) = ||x||^2).
+    """
+    peak = np.abs(a).max()
+    if peak == 0.0:
+        return True
+    a = a / peak
+    diff = a - (a.conj().T if hermitian else a.T)
+    return np.vdot(diff, diff).real <= SYM_RTOL**2 * np.vdot(a, a).real
+
+
 def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix: (U, d), A = U diag(d) U^H.
 
@@ -103,7 +118,7 @@ def hermitian_eig(a):
     a = as_complex(a)
     if a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got {a.shape}")
-    if np.linalg.norm(a - a.conj().T) > SYM_RTOL * np.linalg.norm(a):
+    if not _symmetric_within_tol(a, hermitian=True):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     d, u = np.linalg.eigh(0.5 * (a + a.conj().T))
     idx = np.argsort(d)[::-1]

@@ -151,7 +151,7 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
     m = b_inv @ p @ b_inv.T
     lambdas = np.linalg.svd(m, compute_uv=False)
     max_lambda = float(lambdas[0])
-    if np.linalg.norm(p - p.T) > linalg.SYM_RTOL * np.linalg.norm(p):
+    if not linalg._symmetric_within_tol(p, hermitian=False):
         validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
     elif max_lambda > 1.0 + LAMBDA_TOL:
         validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)

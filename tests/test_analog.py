@@ -3,7 +3,7 @@ import pytest
 from scipy.special import i0, i0e
 
 from improper import analog, entropy, second_order as so, transforms as tf
-from improper.errors import DegenerateConditional, InvalidPair, TooFewSamples
+from improper.errors import DegenerateConditional, InvalidPair, TiedSamples, TooFewSamples
 
 
 def improper_scalar(lam=0.8):
@@ -178,6 +178,20 @@ def test_divergence_requirements():
     ring = so.SampleSet(data=np.exp(2j * np.pi * rng.random(2000))[:, None], seed=0)
     with pytest.raises(DegenerateConditional):
         analog.divergence_to_analog(ring)
+
+
+def test_divergence_to_analog_tie_errors():
+    # constant radius: the reduced representation ties, the phase is a point mass
+    rng = np.random.default_rng(94)
+    ring = so.SampleSet(data=np.exp(2j * np.pi * rng.random(2000))[:, None], seed=0)
+    with pytest.raises(DegenerateConditional) as info:
+        analog.divergence_to_analog(ring)
+    assert isinstance(info.value.__cause__, TiedSamples)
+    # repeated samples tie in the full representation
+    x = so.sample_gaussian(improper_scalar(), 200, seed=95)
+    repeated = so.SampleSet(data=np.repeat(x.data, 10, axis=0), seed=0)
+    with pytest.raises(TiedSamples):
+        analog.divergence_to_analog(repeated)
 
 
 def test_gap_nonnegative_up_to_noise():

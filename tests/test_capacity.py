@@ -122,7 +122,8 @@ def test_capacity_loss_scalar_values():
     loss = cap.capacity_loss(scalar_spec(p_z=0.5))
     np.testing.assert_allclose(loss.mus, [1.0 / 6.0], atol=1e-12)
     assert loss.delta_c_nats == pytest.approx(-0.5 * np.log(35.0 / 36.0), abs=1e-12)
-    assert cap.capacity_loss(scalar_spec()).delta_c_nats == pytest.approx(0.0, abs=1e-15)
+    proper = cap.capacity_loss(scalar_spec()).delta_c_nats
+    assert proper == 0.0 and np.copysign(1.0, proper) == 1.0  # +0.0, not -0.0
 
 
 def test_capacity_loss_formula_and_bound():

@@ -98,6 +98,15 @@ def test_capacity_prints_and_writes(files, tmp_path, capsys):
     assert float(rows[1][3]) == pytest.approx(np.log(3) - 0.5 * np.log(0.75))
 
 
+def test_capacity_loss_of_proper_noise_is_positive_zero(files, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["capacity", files["H"], files["C"], files["P0"],
+                 "--power", "2", "--loss", "--output", str(out_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "properness-design loss: 0.0 nats" in lines
+    assert '"delta_c_nats": 0.0' in (out_dir / "report.json").read_text()
+
+
 def test_capacity_csv_appends(files, tmp_path):
     out_dir = str(tmp_path / "out")
     for _ in range(2):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from improper import entropy, second_order as so
+from improper import entropy, second_order as so, verify
 from improper.errors import (
     DimensionMismatch,
     InvalidPair,
     NotPositiveDefinite,
     SpectrumAtOne,
+    TiedSamples,
     TooFewSamples,
 )
 
@@ -160,3 +161,75 @@ def test_entropy_bounds_on_samples():
     assert h.value <= nm + 3 * h.stderr
     assert h.value <= me + 3 * h.stderr
     assert me < nm
+
+
+def test_knn_entropy_rejects_tied_samples():
+    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 100, seed=73)
+    repeated = so.SampleSet(data=np.repeat(x.data, 10, axis=0), seed=0)
+    with pytest.raises(TiedSamples, match="1000 of 1000 points tied") as info:
+        entropy.knn_entropy(repeated)
+    assert (info.value.tied, info.value.count) == (1000, 1000)
+    # one point repeated 5 times: its k + 1 = 5 copies tie, the rest do not
+    y = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 1000, seed=74)
+    few = so.SampleSet(data=np.concatenate([y.data, np.repeat(y.data[:1], 4, axis=0)]), seed=0)
+    with pytest.raises(TiedSamples, match="5 of 1004 points tied"):
+        entropy.knn_entropy(few)
+
+
+def test_knn_kl_rejects_tied_samples():
+    pair = so.SecondOrderPair.proper(np.eye(1))
+    a = so.sample_gaussian(pair, 1000, seed=75)
+    b = so.sample_gaussian(pair, 1000, seed=76)
+    repeated = so.SampleSet(data=np.repeat(a.data[:100], 10, axis=0), seed=0)
+    with pytest.raises(TiedSamples, match="within p"):
+        entropy.knn_kl_divergence(repeated, b)
+    # every p-point has k = 4 copies in q, so its k-th distance into q is 0
+    copies = so.SampleSet(data=np.repeat(a.data, 4, axis=0), seed=0)
+    with pytest.raises(TiedSamples, match="1000 of 1000 points tied.*into q"):
+        entropy.knn_kl_divergence(a, copies)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_kth_distance_matches_plain_query_in_any_order(periodic):
+    rng = np.random.default_rng(77)
+    count = 600
+    for d in range(1, 13):
+        # periodic: the first half of the coordinates open, the rest on [0, 1)
+        # circles, as divergence_to_analog queries its sheared coordinates
+        if periodic:
+            box = np.concatenate([np.zeros(d // 2), np.ones(d - d // 2)])
+            points = np.where(box > 0, rng.random((count, d)), rng.standard_normal((count, d)))
+        else:
+            box = None
+            points = rng.standard_normal((count, d))
+        tree = entropy.cKDTree(points, boxsize=box)
+        orders = (entropy._spatial_order(points), rng.permutation(count), np.arange(count))
+        for k in (1, 4):
+            plain = tree.query(points, k=k + 1)[0][:, k]
+            for order in orders:
+                got = entropy._kth_distance(tree, points, k + 1, order)
+                assert np.array_equal(got, plain), (d, k)
+
+
+def test_spatial_order_is_a_permutation():
+    rng = np.random.default_rng(78)
+    cases = [
+        rng.standard_normal((1, 3)),
+        np.full((50, 4), 2.5),
+        np.column_stack([rng.random(50), np.zeros(50)]),
+        rng.standard_normal((200, 70)),
+    ]
+    for points in cases:
+        order = entropy._spatial_order(points)
+        assert np.array_equal(np.sort(order), np.arange(points.shape[0]))
+
+
+def test_spatial_order_follows_the_z_curve():
+    corners = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert entropy._spatial_order(corners).tolist() == [1, 3, 2, 0]
+
+
+def test_entropy_verify_suite_passes():
+    results = verify.run_suite("entropy", 2026, 100_000)
+    assert len(results) == 10
+    assert [r for r in results if not r.passed] == []

@@ -108,7 +108,8 @@ def _scaled_cases():
     ]
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-30, 1e-12, 1e12, 1e30, 1e100, 1e150])
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-150, 1e-100, 1e-30, 1e-12,
+                                   1e12, 1e30, 1e100, 1e150, 1e160, 1e200])
 def test_verdicts_and_spectrum_are_scale_free(scale):
     for c, p, reason in _scaled_cases():
         at_one = so.validate_pair(c, p)
