@@ -30,7 +30,6 @@ from .entropy import (
     complex_gaussian_entropy,
     knn_entropy,
     knn_kl_divergence,
-    max_entropy_bound,
     neeser_massey_bound,
     real_gaussian_entropy,
 )
@@ -70,12 +69,10 @@ from .second_order import (
     pair_from_real_covariance,
     real_covariance,
     sample_gaussian,
-    underline_P_eigen_check,
     validate_pair,
 )
 from .transforms import (
     PolarPoint,
-    ShearedPolarPoint,
     polar_density,
     polar_to_real,
     polar_to_sheared,

@@ -33,13 +33,7 @@ from .entropy import (
     _knn_entropy_points,
     knn_entropy,
 )
-from .errors import (
-    DegenerateConditional,
-    InvalidPair,
-    SpectrumAtOne,
-    TiedSamples,
-    TooFewSamples,
-)
+from .errors import DegenerateConditional, InvalidPair, TiedSamples, TooFewSamples
 
 # Threshold for declaring the phase conditional degenerate: the honest
 # estimate is >= 0 up to a few hundredths of a nat of estimator noise, while
@@ -142,14 +136,10 @@ def analog_gaussian_model(pair: second_order.SecondOrderPair) -> AnalogGaussianM
     if np.max(np.abs(pair.mean)) > 0.0:
         raise InvalidPair("NONZERO_MEAN", "analog Gaussian density requires zero mean")
     factors = pair.factors
-    if not factors.validity.valid:
-        raise InvalidPair(factors.validity.reason)
+    factors.spectrum_below_one()
     fac = factors.takagi
-    lambdas = fac.sigma
-    if lambdas[0] >= 1.0 - 1e-10:
-        raise SpectrumAtOne(f"max circularity coefficient {lambdas[0]:.12g}")
     whitener = fac.q.conj().T @ factors.b_inv
-    return AnalogGaussianModel(pair=pair, whitener=whitener, lambdas=lambdas)
+    return AnalogGaussianModel(pair=pair, whitener=whitener, lambdas=fac.sigma)
 
 
 def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | float:

@@ -154,9 +154,9 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     out = []
     sv = np.linalg.svd(spec.h, compute_uv=False)
     sv.flags.writeable = False
-    h_ok = sv[-1] > 1e-12 * max(sv[0], linalg.ABS_FLOOR)
+    h_ok = not linalg._not_positive(sv[-1], sv[0])
     if not h_ok:
-        out.append(Violation(H_SINGULAR, float(sv[-1]), float(1e-12 * sv[0]),
+        out.append(Violation(H_SINGULAR, float(sv[-1]), float(linalg.EIG_RTOL * sv[0]),
                              "channel matrix numerically singular"))
     mean_mag = float(np.max(np.abs(spec.noise.mean))) if spec.noise.dim else 0.0
     if mean_mag > 0.0:
@@ -170,8 +170,8 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
         out.append(Violation(NOISE_PAIR_INVALID, float("nan"), float("nan"), v.reason))
         return ChannelFactors(tuple(out), sv)
     # valid pair or SPECTRUM_EXCEEDS_ONE: max_lambda is measured either way
-    if v.max_lambda >= 1.0 - 1e-10:
-        out.append(Violation(SPECTRUM_AT_ONE, float(v.max_lambda), 1.0 - 1e-10,
+    if linalg._at_one(v.max_lambda):
+        out.append(Violation(SPECTRUM_AT_ONE, float(v.max_lambda), 1.0 - linalg.LAMBDA_TOL,
                              "noise circularity coefficient at or beyond 1"))
     if not h_ok:
         return ChannelFactors(tuple(out), sv)
@@ -180,7 +180,7 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     g = 0.5 * (g + g.conj().T)
     g_norm = linalg.operator_norm(g)
     thr = 2.0 * spec.dim * g_norm
-    if spec.power + 1e-12 * max(1.0, thr) < thr:
+    if spec.power + linalg.EIG_RTOL * thr < thr:
         out.append(Violation(HIGH_SNR, float(spec.power), float(thr),
                              "power below the high-SNR threshold 2n||H^-1 C_z H^-H||"))
     for a in (h_inv, g):
@@ -291,7 +291,7 @@ def mc_mutual_information(
     if not v.valid:
         raise InvalidPair(v.reason)
     tr = float(np.trace(input_pair.cov).real)
-    if tr > spec.power + 1e-8:
+    if tr > spec.power * (1.0 + linalg.POWER_RTOL):
         raise PowerExceeded(f"trace(C_x) = {tr:.12g} exceeds the budget {spec.power:.12g}")
     h_z = complex_gaussian_entropy(spec.noise).value
     seed_x, seed_z = _spawn_seeds(seed, 2)
@@ -319,8 +319,8 @@ def verify_circular_optimality(
     if the set is smaller), and the same noise draws for both evaluations so
     their difference is estimated with reduced variance.
     """
-    c_scale = max(linalg.operator_norm(spec.noise.cov), linalg.ABS_FLOOR)
-    if linalg.operator_norm(spec.noise.pcov) > 1e-10 * c_scale:
+    c_norm = linalg.operator_norm(spec.noise.cov)
+    if linalg.operator_norm(spec.noise.pcov) > linalg.PROPER_RTOL * c_norm:
         raise NoiseNotCircular("noise complementary covariance must vanish")
     if count is None:
         count = noncircular_input.count

@@ -6,9 +6,9 @@ Closed forms
 * neeser_massey_bound(C)        = log det(pi e C), the covariance-only upper
   bound, attained by the proper Gaussian with covariance C
 * complex_gaussian_entropy(pair) = log det(pi e C) + 0.5 sum log(1 - lambda_i^2),
-  the entropy of the (possibly improper) Gaussian with moments (C, P)
-* max_entropy_bound(pair)       = same value as a bound: no distribution with
-  second-order pair (C, P) has larger entropy
+  the entropy of the (possibly improper) Gaussian with moments (C, P); it is
+  also the maximum entropy bound: no distribution with second-order pair
+  (C, P) has larger entropy
 
 Given a pair, these read its cached factorization (second_order.PairFactors):
 the eigenvalues of C give log det(pi e C), the validity verdict gates the
@@ -54,20 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, second_order
-from .errors import (
-    DimensionMismatch,
-    InvalidPair,
-    NotPositiveDefinite,
-    SpectrumAtOne,
-    TiedSamples,
-    TooFewSamples,
-)
+from .errors import DimensionMismatch, NotPositiveDefinite, TiedSamples, TooFewSamples
 
 CLOSED_FORM = "CLOSED_FORM"
 KNN_ESTIMATE = "KNN_ESTIMATE"
-
-# Coefficients at (or beyond) 1 - SPECTRUM_TOL make log(1 - lambda^2) blow up.
-SPECTRUM_TOL = 1e-10
 
 DEFAULT_K = 4
 JACKKNIFE_GROUPS = 10
@@ -85,12 +75,10 @@ def real_gaussian_entropy(s) -> EntropyValue:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
         raise DimensionMismatch("covariance must be non-empty and square")
-    scale = max(np.linalg.norm(s), linalg.ABS_FLOOR)
-    if np.linalg.norm(s - s.T) > linalg.SYM_RTOL * scale:
+    if not linalg._symmetric_within_tol(s, hermitian=False):
         raise NotPositiveDefinite("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
-    eig_scale = max(abs(eigs[0]), abs(eigs[-1]), linalg.ABS_FLOOR)
-    if eigs[0] <= linalg.EIG_RTOL * eig_scale:
+    if linalg._not_positive(eigs[0], eigs[-1]):
         raise NotPositiveDefinite(f"smallest eigenvalue {eigs[0]:.3e} not positive")
     value = 0.5 * float(np.sum(np.log(2.0 * np.pi * np.e * eigs)))
     return EntropyValue(value=value, method=CLOSED_FORM)
@@ -106,7 +94,7 @@ def neeser_massey_bound(c) -> EntropyValue:
         d = c.factors.cov_eigenvalues()
     else:
         _, d = linalg.hermitian_eig(c)
-    if d[-1] <= linalg.EIG_RTOL * max(abs(d[0]), abs(d[-1])):
+    if linalg._not_positive(d[-1], d[0]):
         raise NotPositiveDefinite(f"smallest eigenvalue {d[-1]:.3e} not positive")
     value = float(np.sum(np.log(np.pi * np.e * d)))
     return EntropyValue(value=value, method=CLOSED_FORM)
@@ -118,25 +106,10 @@ def complex_gaussian_entropy(pair: second_order.SecondOrderPair) -> EntropyValue
     log det(pi e C) + 0.5 sum log(1 - lambda_i^2); requires every circularity
     coefficient below 1 (SpectrumAtOne otherwise) and a valid non-singular pair.
     """
-    factors = pair.factors
-    if not factors.validity.valid:
-        raise InvalidPair(factors.validity.reason)
-    lambdas = factors.lambdas
-    if lambdas[0] >= 1.0 - SPECTRUM_TOL:
-        raise SpectrumAtOne(f"max circularity coefficient {lambdas[0]:.12g}")
+    lambdas = pair.factors.spectrum_below_one()
     base = neeser_massey_bound(pair).value
     value = base + 0.5 * float(np.sum(np.log1p(-(lambdas**2))))
     return EntropyValue(value=value, method=CLOSED_FORM)
-
-
-def max_entropy_bound(pair: second_order.SecondOrderPair) -> EntropyValue:
-    """Largest entropy compatible with the pair (C, P).
-
-    Numerically identical to complex_gaussian_entropy (the bound is attained
-    by the Gaussian); kept as its own surface because callers use it as a
-    bound, not as a distribution's entropy.
-    """
-    return complex_gaussian_entropy(pair)
 
 
 def __getattr__(name):

@@ -6,6 +6,13 @@ Cholesky factor B with B B^H = A. Matrices are plain numpy arrays
 (complex128 / float64); everything here is a pure function.
 
 Expected sizes are covariance-scale (n <= 64); no sparse or blocked code.
+
+This module also holds the library's one tolerance policy: every verdict
+threshold of the package is a constant below, each relative to the scale
+of the quantity it tests, so no verdict changes when the input is
+rescaled (the circularity coefficients are invariant under congruence and
+rescaling). The private predicates apply them to scalars the caller
+already has.
 """
 
 from __future__ import annotations
@@ -16,18 +23,24 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite, NotSymmetric
 
-# Relative tolerances used by the symmetry / definiteness checks. The
-# Hermitian-eigenvalue path measures them against the matrix's own scale, so
-# its verdicts do not change when the input is rescaled; the other checks
-# keep an absolute floor so that A ~ 0 does not turn them into zero
-# tolerances.
+# ||A - A^T|| (or A^H) within SYM_RTOL ||A|| is symmetric (Hermitian) round-off.
 SYM_RTOL = 1e-10
+# A smallest eigenvalue or singular value at or below EIG_RTOL times the
+# largest magnitude is zero (a singular matrix); a power budget within
+# EIG_RTOL of the high-SNR threshold meets it.
 EIG_RTOL = 1e-12
-ABS_FLOOR = 1e-12
-
-# Singular values closer than this (relative to sigma_1) are treated as one
-# degeneracy block in the Takagi factorization.
+# An eigenvalue below -PSD_RTOL times the largest magnitude is truly negative.
+PSD_RTOL = 1e-10
+# lambda <= 1 is closed and log(1 - lambda^2) diverges at 1: a pair is valid
+# up to 1 + LAMBDA_TOL, and a coefficient from 1 - LAMBDA_TOL up is at 1.
+LAMBDA_TOL = 1e-10
+# Singular values closer than this (relative to sigma_1) form one Takagi
+# degeneracy block.
 TAKAGI_GAP_RTOL = 1e-8
+# An input trace up to POWER_RTOL above the budget S is round-off.
+POWER_RTOL = 1e-8
+# ||P||_2 within PROPER_RTOL ||C||_2 counts as a vanishing P (proper noise).
+PROPER_RTOL = 1e-10
 
 
 def as_complex(a) -> np.ndarray:
@@ -108,6 +121,21 @@ def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
     return np.vdot(diff, diff).real <= SYM_RTOL**2 * np.vdot(a, a).real
 
 
+def _not_positive(smallest, largest) -> bool:
+    """Whether the smallest eigenvalue (or singular value) is zero next to the largest."""
+    return smallest <= EIG_RTOL * max(abs(smallest), abs(largest))
+
+
+def _negative(smallest, largest) -> bool:
+    """Whether the smallest eigenvalue is negative beyond round-off (not PSD)."""
+    return smallest < -PSD_RTOL * max(abs(smallest), abs(largest))
+
+
+def _at_one(lam) -> bool:
+    """Whether a circularity coefficient is at 1 within LAMBDA_TOL, or beyond."""
+    return lam >= 1.0 - LAMBDA_TOL
+
+
 def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix: (U, d), A = U diag(d) U^H.
 
@@ -133,7 +161,7 @@ def generalized_cholesky(a) -> np.ndarray:
     the smallest eigenvalue is not safely positive relative to the largest.
     """
     u, d = hermitian_eig(a)
-    if d[-1] <= EIG_RTOL * max(abs(d[0]), abs(d[-1])):
+    if _not_positive(d[-1], d[0]):
         raise NotPositiveDefinite(
             f"smallest eigenvalue {d[-1]:.3e} fails the positivity threshold"
         )
@@ -164,11 +192,11 @@ def _symmetric_unitary_sqrt(w):
     x, y = w.real.copy(), w.imag.copy()
     ax, ox = np.linalg.eigh(0.5 * (x + x.T))
     o = ox
-    # cluster equal eigenvalues of Re(W) and rotate within each cluster
-    tol = 1e-8 * max(1.0, np.abs(ax).max())
+    # cluster equal eigenvalues of Re(W) and rotate within each cluster; W is
+    # unitary, so they lie in [-1, 1] and the gap is relative to 1
     start = 0
     for i in range(1, len(ax) + 1):
-        if i == len(ax) or ax[i] - ax[i - 1] > tol:
+        if i == len(ax) or ax[i] - ax[i - 1] > TAKAGI_GAP_RTOL:
             if i - start > 1:
                 sub = o[:, start:i]
                 yb = sub.T @ y @ sub
@@ -207,8 +235,9 @@ def takagi(a) -> TakagiFactorization:
     a = as_complex(a)
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric("takagi requires a square matrix")
-    scale = max(np.linalg.norm(a), ABS_FLOOR)
-    if np.linalg.norm(a - a.T) > SYM_RTOL * scale:
+    if a.size == 0:
+        raise DimensionMismatch("takagi requires a non-empty matrix")
+    if not _symmetric_within_tol(a, hermitian=False):
         raise NotSymmetric("matrix is not complex symmetric within tolerance")
     a = 0.5 * (a + a.T)
     n = a.shape[0]

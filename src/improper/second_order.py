@@ -22,7 +22,8 @@ first use (``pair.factors``); every later spectrum, validity verdict,
 entropy, analog model or capacity solve of that pair reads the same
 factorization. Functions given raw arrays, such as validate_pair(c, p),
 factor them once per call. The validity tests are relative to the scale of
-the matrix they test, so rescaling a pair does not change its verdict.
+the matrix they test (the thresholds are linalg's), so rescaling a pair
+does not change its verdict.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
     NotPositiveSemidefinite,
     NotSymmetric,
     SingularCovariance,
+    SpectrumAtOne,
     TooFewSamples,
 )
 
@@ -50,12 +52,6 @@ C_NOT_PSD = "C_NOT_PSD"
 C_SINGULAR = "C_SINGULAR"
 P_NOT_SYMMETRIC = "P_NOT_SYMMETRIC"
 SPECTRUM_EXCEEDS_ONE = "SPECTRUM_EXCEEDS_ONE"
-
-# The admissibility criterion is closed (lambda <= 1), so round-off must not
-# flip verdicts at the boundary.
-LAMBDA_TOL = 1e-10
-PSD_RTOL = 1e-10
-SINGULAR_RTOL = 1e-12
 
 
 def _check_pair_shapes(cov, pcov) -> None:
@@ -116,6 +112,18 @@ class PairFactors:
             self._raise()
         return self.lambdas
 
+    def spectrum_below_one(self) -> np.ndarray:
+        """Circularity coefficients of a valid pair whose entropy is finite.
+
+        Raises InvalidPair for an invalid pair and SpectrumAtOne when the
+        largest coefficient is at 1 within linalg.LAMBDA_TOL.
+        """
+        if not self.validity.valid:
+            raise InvalidPair(self.validity.reason)
+        if linalg._at_one(self.validity.max_lambda):
+            raise SpectrumAtOne(f"max circularity coefficient {self.validity.max_lambda:.12g}")
+        return self.lambdas
+
     @cached_property
     def takagi(self) -> linalg.TakagiFactorization:
         """Takagi factorization M = Q diag(sigma) Q^T, computed on first use."""
@@ -140,9 +148,8 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
         return PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")),
                            error=(NotHermitian, str(exc)))
     _read_only(d)
-    scale = max(abs(d[0]), abs(d[-1]))
-    if d[-1] <= SINGULAR_RTOL * scale:
-        reason = C_NOT_PSD if d[-1] < -PSD_RTOL * scale else C_SINGULAR
+    if linalg._not_positive(d[-1], d[0]):
+        reason = C_NOT_PSD if linalg._negative(d[-1], d[0]) else C_SINGULAR
         return PairFactors(
             PairValidity(False, reason, float("nan")), d=d,
             error=(SingularCovariance,
@@ -153,7 +160,7 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
     max_lambda = float(lambdas[0])
     if not linalg._symmetric_within_tol(p, hermitian=False):
         validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
-    elif max_lambda > 1.0 + LAMBDA_TOL:
+    elif max_lambda > 1.0 + linalg.LAMBDA_TOL:
         validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
     else:
         validity = PairValidity(True, OK, max_lambda)
@@ -249,11 +256,10 @@ def pair_from_real_covariance(s) -> SecondOrderPair:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0 or s.size == 0:
         raise DimensionMismatch("expected a non-empty square 2n x 2n real matrix")
-    scale = max(np.linalg.norm(s), linalg.ABS_FLOOR)
-    if np.linalg.norm(s - s.T) > linalg.SYM_RTOL * scale:
+    if not linalg._symmetric_within_tol(s, hermitian=False):
         raise NotSymmetric("real covariance must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
-    if eigs[0] < -PSD_RTOL * max(abs(eigs[-1]), linalg.ABS_FLOOR):
+    if linalg._negative(eigs[0], eigs[-1]):
         raise NotPositiveSemidefinite(f"negative eigenvalue {eigs[0]:.3e}")
     n = s.shape[0] // 2
     s11, s12 = s[:n, :n], s[:n, n:]
@@ -279,36 +285,15 @@ def validate_pair(c, p) -> PairValidity:
 
     Valid iff C is Hermitian, positive semidefinite and non-singular, P is
     symmetric, and every circularity coefficient is <= 1 (closed bound, with
-    1e-10 slack so round-off cannot flip the verdict). The first failed check
-    names the reason. Each test is relative to the scale of the matrix it
-    tests. For a SecondOrderPair, ``pair.factors.validity`` is the same
-    verdict without a second factorization.
+    linalg.LAMBDA_TOL slack so round-off cannot flip the verdict). The first
+    failed check names the reason. Each test is relative to the scale of the
+    matrix it tests. For a SecondOrderPair, ``pair.factors.validity`` is the
+    same verdict without a second factorization.
     """
     c = linalg.as_complex(c)
     p = linalg.as_complex(p)
     _check_pair_shapes(c, p)
     return _factor_pair(c, p).validity
-
-
-def underline_P_eigen_check(pair: SecondOrderPair):
-    """Eigenvalues of underline_map(P) next to the singular values of P.
-
-    The eigenvalues come in plus/minus pairs: the multiset {+sigma_i} U {-sigma_i}.
-    Returns (eigs descending, sigma descending). Raises NotSymmetric.
-    """
-    p = pair.pcov
-    scale = max(np.linalg.norm(p), linalg.ABS_FLOOR)
-    if np.linalg.norm(p - p.T) > linalg.SYM_RTOL * scale:
-        raise NotSymmetric("P must be symmetric")
-    eigs = np.linalg.eigvalsh(underline_sym(p))
-    sigma = np.linalg.svd(p, compute_uv=False)
-    return eigs[::-1], sigma
-
-
-def underline_sym(p) -> np.ndarray:
-    # symmetrized underline embedding (exact for symmetric P)
-    u = linalg.underline_map(p)
-    return 0.5 * (u + u.T)
 
 
 def sample_gaussian(pair: SecondOrderPair, count: int, seed: int) -> SampleSet:

@@ -12,6 +12,11 @@ Densities transform with Jacobian (2 pi)^n * r_1 ... r_n from real to polar
 coordinates; the shear has unit Jacobian. Points with r_k = 0 take the
 convention phi_k = 0 and carry zero polar density.
 
+Both representations are PolarPoints (radii and phases); the function
+names say which one a point is in: polar_to_sheared returns, and
+sheared_to_polar and sheared_density take, phases whose first n-1 entries
+are offsets from the last.
+
 All functions are vectorized over leading axes: radii/phases have shape
 (..., n).
 """
@@ -50,22 +55,6 @@ class PolarPoint:
         object.__setattr__(self, "phi", phi)
 
 
-@dataclass(frozen=True)
-class ShearedPolarPoint:
-    """Like PolarPoint, but phi[..., :-1] are offsets from phi[..., -1]."""
-
-    r: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if r.shape != phi.shape:
-            raise ValueError("r and phi must have matching shapes")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
-
-
 def real_to_polar(x) -> PolarPoint:
     """Moduli and phases (in turns) of complex vectors; phi = 0 where r = 0."""
     x = np.asarray(x, dtype=complex)
@@ -80,15 +69,15 @@ def polar_to_real(p: PolarPoint) -> np.ndarray:
     return p.r * np.exp(2j * np.pi * p.phi)
 
 
-def polar_to_sheared(p: PolarPoint) -> ShearedPolarPoint:
+def polar_to_sheared(p: PolarPoint) -> PolarPoint:
     """Re-express the first n-1 phases relative to the last one."""
     phi = np.array(p.phi, dtype=float, copy=True)
     last = phi[..., -1:]
     phi[..., :-1] = mod1(phi[..., :-1] - last)
-    return ShearedPolarPoint(r=np.array(p.r, copy=True), phi=phi)
+    return PolarPoint(r=np.array(p.r, copy=True), phi=phi)
 
 
-def sheared_to_polar(s: ShearedPolarPoint) -> PolarPoint:
+def sheared_to_polar(s: PolarPoint) -> PolarPoint:
     """Exact inverse of polar_to_sheared."""
     phi = np.array(s.phi, dtype=float, copy=True)
     last = phi[..., -1:]
@@ -112,6 +101,6 @@ def polar_density(f_real, p: PolarPoint):
     return out
 
 
-def sheared_density(f_real, s: ShearedPolarPoint):
+def sheared_density(f_real, s: PolarPoint):
     """Density of the sheared-polar representation (the shear has unit Jacobian)."""
     return polar_density(f_real, sheared_to_polar(s))

@@ -7,6 +7,10 @@ PASS/FAIL verdict with its measured numbers.
 
 _CRITERIA = {}
 
+# Rescalings over which every verdict must hold (the thresholds are relative).
+SCALES = [1e-200, 1e-160, 1e-150, 1e-100, 1e-30, 1e-12,
+          1e12, 1e30, 1e100, 1e150, 1e160, 1e200]
+
 
 def record_criterion(num, passed, detail):
     _CRITERIA[num] = (bool(passed), detail)

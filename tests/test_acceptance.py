@@ -103,8 +103,8 @@ def test_criterion_02_takagi_and_underline_eigs():
         scale = max(np.linalg.norm(a), 1e-12)
         worst_rec = max(worst_rec, np.linalg.norm(fac.reconstruct() - a) / scale)
 
-        pair = SecondOrderPair(cov=np.eye(n), pcov=a)
-        eigs, sigma = so.underline_P_eigen_check(pair)
+        eigs = np.linalg.eigvalsh(linalg.underline_map(a))[::-1]
+        sigma = np.linalg.svd(a, compute_uv=False)
         expected = np.sort(np.concatenate([sigma, -sigma]))[::-1]
         worst_eig = max(worst_eig, float(np.max(np.abs(eigs - expected))))
     passed = worst_rec <= 1e-8 and worst_eig <= 1e-8
@@ -383,7 +383,7 @@ def test_criterion_10_transforms():
     rr, pp = np.meshgrid(r, phi, indexing="ij")
     polar_vals = tf.polar_density(gauss, tf.PolarPoint(r=rr[..., None], phi=pp[..., None]))
     sheared_vals = tf.sheared_density(
-        gauss, tf.ShearedPolarPoint(r=rr[..., None], phi=pp[..., None]))
+        gauss, tf.PolarPoint(r=rr[..., None], phi=pp[..., None]))
     int_polar = float(np.trapezoid(polar_vals.mean(axis=1), r))
     int_sheared = float(np.trapezoid(sheared_vals.mean(axis=1), r))
 

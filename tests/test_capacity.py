@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from improper import capacity as cap, second_order as so
+from conftest import SCALES
+from improper import analog, capacity as cap, entropy, second_order as so, verify
 from improper.errors import (
     AssumptionViolated,
     DimensionMismatch,
     InvalidPair,
     NoiseNotCircular,
     PowerExceeded,
+    SpectrumAtOne,
     TooFewSamples,
 )
 
@@ -54,6 +56,53 @@ def test_check_assumptions_flags():
         cov=np.diag([1.0, 0.0]).astype(complex), pcov=np.zeros((2, 2))), power=9.0)
     names = [v.name for v in cap.check_assumptions(sing)]
     assert names == [cap.NOISE_COV_SINGULAR]
+
+
+def _scaled_spec(scale, h_diag, power_factor):
+    # H = scale diag(h_diag) and C_z = scale C0 keep H^-1 C_z H^-H finite at every scale
+    c0 = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    noise = so.SecondOrderPair(cov=scale * c0, pcov=scale * np.array([[0.3, 0.1], [0.1, 0.2]]))
+    h = scale * np.diag(h_diag).astype(complex)
+    g = np.linalg.inv(np.diag(h_diag)) @ c0 @ np.linalg.inv(np.diag(h_diag)).conj().T
+    power = power_factor * 4.0 * np.linalg.norm(g, 2) / scale
+    return cap.ChannelSpec(h=h, noise=noise, power=power)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_scaled_identity_channel_is_never_singular(scale):
+    for n in (1, 3):
+        spec = cap.ChannelSpec(h=scale * np.eye(n), noise=so.SecondOrderPair.proper(
+            scale * np.eye(n)), power=2.0 * n / scale)
+        assert cap.check_assumptions(spec) == []
+    assert cap.check_assumptions(_scaled_spec(scale, [1.0, 0.5], 1.5)) == []
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_flagged_violations_measure_past_their_threshold(scale):
+    singular = cap.check_assumptions(_scaled_spec(scale, [1.0, 1e-13], 1.5))
+    low_power = cap.check_assumptions(_scaled_spec(scale, [1.0, 0.5], 0.9))
+    assert [v.name for v in singular] == [cap.H_SINGULAR]
+    assert [v.name for v in low_power] == [cap.HIGH_SNR]
+    for v in singular + low_power:
+        assert v.measured <= v.threshold
+    at_one = cap.check_assumptions(scalar_spec(p_z=1.0, power=9.0))
+    assert [v.measured >= v.threshold for v in at_one] == [True]
+
+
+@pytest.mark.parametrize("lam, at_one", [(1.0 - 0.5e-10, True), (1.0 - 2e-10, False)])
+def test_spectrum_at_one_boundary_is_shared(lam, at_one):
+    spec = scalar_spec(p_z=lam, power=9.0)
+    names = [v.name for v in cap.check_assumptions(spec)]
+    if at_one:
+        assert names == [cap.SPECTRUM_AT_ONE]
+        with pytest.raises(SpectrumAtOne):
+            entropy.complex_gaussian_entropy(spec.noise)
+        with pytest.raises(SpectrumAtOne):
+            analog.analog_gaussian_model(spec.noise)
+    else:
+        assert names == []
+        assert np.isfinite(entropy.complex_gaussian_entropy(spec.noise).value)
+        assert analog.analog_gaussian_model(spec.noise).lambdas[0] < 1.0
 
 
 def test_high_snr_boundary_inclusive():
@@ -194,6 +243,21 @@ def test_mc_mutual_information_guards():
     with pytest.raises(InvalidPair):
         cap.mc_mutual_information(
             spec, so.SecondOrderPair(cov=np.eye(1), pcov=np.array([[2.0]])), 1000, seed=1)
+
+
+def test_mc_mutual_information_accepts_solved_input_at_large_budgets():
+    # the solved input's trace meets the budget up to round-off relative to S
+    beyond_absolute_slack = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        spec = verify._random_spec(rng, int(rng.integers(2, 7)))
+        for factor in (1e6, 1e9, 1e12):
+            big = cap.ChannelSpec(h=spec.h, noise=spec.noise, power=spec.power * factor)
+            x_pair = cap.solve_capacity(big).input_pair
+            beyond_absolute_slack += np.trace(x_pair.cov).real > big.power + 1e-8
+            mi = cap.mc_mutual_information(big, x_pair, 400, seed=seed)
+            assert np.isfinite(mi.value)
+    assert beyond_absolute_slack > 0
 
 
 def test_verify_circular_optimality_bpsk():

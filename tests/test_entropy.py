@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SCALES
 from improper import entropy, second_order as so, verify
 from improper.errors import (
     DimensionMismatch,
@@ -30,6 +31,14 @@ def test_real_gaussian_entropy_rejects():
         entropy.real_gaussian_entropy(np.diag([1.0, 0.0]))
     with pytest.raises(NotPositiveDefinite):
         entropy.real_gaussian_entropy(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_real_gaussian_entropy_positivity_is_scale_free(scale):
+    h = entropy.real_gaussian_entropy(scale * np.eye(4))
+    assert h.value == pytest.approx(2.0 * np.log(2.0 * np.pi * np.e * scale), rel=1e-12)
+    with pytest.raises(NotPositiveDefinite):
+        entropy.real_gaussian_entropy(scale * np.diag([1.0, 1e-13]))
 
 
 def test_real_gaussian_entropy_rejects_empty():
@@ -89,11 +98,6 @@ def test_complex_gaussian_entropy_rejections():
         entropy.complex_gaussian_entropy(scalar_pair(1.0))
     with pytest.raises(InvalidPair):
         entropy.complex_gaussian_entropy(scalar_pair(1.5))
-
-
-def test_max_entropy_bound_equals_gaussian_value():
-    pair = scalar_pair(0.6)
-    assert entropy.max_entropy_bound(pair).value == entropy.complex_gaussian_entropy(pair).value
 
 
 def test_knn_entropy_circular_gaussian():
@@ -157,7 +161,7 @@ def test_entropy_bounds_on_samples():
     h = entropy.knn_entropy(x)
     emp = so.empirical_pair(x)
     nm = entropy.neeser_massey_bound(emp.cov).value
-    me = entropy.max_entropy_bound(emp).value
+    me = entropy.complex_gaussian_entropy(emp).value
     assert h.value <= nm + 3 * h.stderr
     assert h.value <= me + 3 * h.stderr
     assert me < nm

@@ -181,6 +181,11 @@ def test_takagi_rank_deficient():
     assert np.sum(fac.sigma > 1e-10) == 2
 
 
+def test_takagi_rejects_empty():
+    with pytest.raises(DimensionMismatch):
+        linalg.takagi(np.zeros((0, 0)))
+
+
 def test_takagi_rejects_non_symmetric():
     with pytest.raises(NotSymmetric):
         linalg.takagi(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from improper import second_order as so
+from conftest import SCALES
+from improper import entropy, linalg, second_order as so
 from improper.errors import (
     DimensionMismatch,
     InvalidPair,
+    NotPositiveDefinite,
     NotPositiveSemidefinite,
     NotSymmetric,
     SingularCovariance,
@@ -108,8 +110,7 @@ def _scaled_cases():
     ]
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-150, 1e-100, 1e-30, 1e-12,
-                                   1e12, 1e30, 1e100, 1e150, 1e160, 1e200])
+@pytest.mark.parametrize("scale", SCALES)
 def test_verdicts_and_spectrum_are_scale_free(scale):
     for c, p, reason in _scaled_cases():
         at_one = so.validate_pair(c, p)
@@ -121,6 +122,21 @@ def test_verdicts_and_spectrum_are_scale_free(scale):
             np.testing.assert_allclose(
                 so.circularity_spectrum(so.SecondOrderPair(cov=scale * c, pcov=scale * p)),
                 so.circularity_spectrum(so.SecondOrderPair(cov=c, pcov=p)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_symmetry_tests_are_scale_free(scale):
+    # neither tiny nor huge entries (whose Frobenius norm overflows) hide the asymmetry
+    a = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotSymmetric):
+        linalg.takagi(a)
+    with pytest.raises(NotSymmetric):
+        so.pair_from_real_covariance(a)
+    with pytest.raises(NotPositiveDefinite):
+        entropy.real_gaussian_entropy(a)
+    sym = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_allclose(linalg.takagi(sym).sigma, [3.0 * scale, scale], rtol=1e-12)
+    assert so.pair_from_real_covariance(sym).dim == 1
 
 
 def test_circularity_spectrum_diagonal():
@@ -172,18 +188,18 @@ def test_validate_pair_boundary_lambda():
     assert not so.validate_pair(np.eye(1), np.array([[1.0 + 1e-6]])).valid
 
 
-def test_underline_P_eigen_check_scalar():
-    eigs, sigma = so.underline_P_eigen_check(scalar_pair(0.5))
+def test_underline_map_eigenvalues_scalar():
+    eigs = np.linalg.eigvalsh(linalg.underline_map(scalar_pair(0.5).pcov))[::-1]
     np.testing.assert_allclose(eigs, [0.5, -0.5], atol=1e-12)
-    np.testing.assert_allclose(sigma, [0.5], atol=1e-12)
 
 
-def test_underline_P_eigen_check_random():
+def test_underline_map_eigenvalues_random():
+    # the eigenvalues of underline(P) are the singular values of P and their negatives
     rng = np.random.default_rng(31)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     p = 0.5 * (g + g.T)
-    pair = so.SecondOrderPair(cov=np.eye(4), pcov=p)
-    eigs, sigma = so.underline_P_eigen_check(pair)
+    eigs = np.linalg.eigvalsh(linalg.underline_map(p))[::-1]
+    sigma = np.linalg.svd(p, compute_uv=False)
     expected = np.sort(np.concatenate([sigma, -sigma]))[::-1]
     np.testing.assert_allclose(eigs, expected, atol=1e-10)
 

@@ -67,8 +67,6 @@ def test_shear_offsets_and_identity_for_scalars():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         tf.PolarPoint(r=np.ones(2), phi=np.ones(3))
-    with pytest.raises(ValueError):
-        tf.ShearedPolarPoint(r=np.ones(2), phi=np.ones(3))
 
 
 def std_gauss_2d(xr):
