@@ -161,13 +161,23 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     mean_mag = float(np.max(np.abs(spec.noise.mean))) if spec.noise.dim else 0.0
     if mean_mag > 0.0:
         out.append(Violation(NOISE_MEAN_NONZERO, mean_mag, 0.0, "noise must be zero-mean"))
-    v = spec.noise.factors.validity
+    noise = spec.noise.factors
+    v = noise.validity
     if v.reason == second_order.C_SINGULAR:
-        out.append(Violation(NOISE_COV_SINGULAR, 0.0, 0.0, "noise covariance singular"))
+        d = noise.d
+        out.append(Violation(NOISE_COV_SINGULAR, float(d[-1]), float(linalg.EIG_RTOL * d[0]),
+                             "noise covariance singular"))
         return ChannelFactors(tuple(out), sv)
-    if v.reason in (second_order.C_NOT_HERMITIAN, second_order.C_NOT_PSD,
-                    second_order.P_NOT_SYMMETRIC):
-        out.append(Violation(NOISE_PAIR_INVALID, float("nan"), float("nan"), v.reason))
+    if v.reason == second_order.C_NOT_PSD:
+        d = noise.d
+        limit = -linalg.PSD_RTOL * float(np.max(np.abs(d)))
+        out.append(Violation(NOISE_PAIR_INVALID, float(d[-1]), limit, v.reason))
+        return ChannelFactors(tuple(out), sv)
+    if v.reason in (second_order.C_NOT_HERMITIAN, second_order.P_NOT_SYMMETRIC):
+        hermitian = v.reason == second_order.C_NOT_HERMITIAN
+        a = spec.noise.cov if hermitian else spec.noise.pcov
+        out.append(Violation(NOISE_PAIR_INVALID, linalg._asymmetry(a, hermitian),
+                             linalg.SYM_RTOL, v.reason))
         return ChannelFactors(tuple(out), sv)
     # valid pair or SPECTRUM_EXCEEDS_ONE: max_lambda is measured either way
     if linalg._at_one(v.max_lambda):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -38,11 +39,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low (a bad value is a usage error, exit 1)."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="base seed for every random draw (default 0)")
-    common.add_argument("--samples", type=int, default=None,
+    common.add_argument("--samples", type=_int_at_least(1), default=None,
                         help="Monte Carlo sample count (command-specific default)")
     common.add_argument("--bits", action="store_true",
                         help="print entropies and rates in bits instead of nats")
@@ -253,8 +266,7 @@ def cmd_verify(args) -> int:
     body = {
         "suite": args.suite,
         "passed": failed == 0,
-        "results": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results],
+        "results": [dataclasses.asdict(r) for r in results],
     }
     _emit_report(args, "verify", _flags_dict(args, ("suite", "samples")), body)
     return 0 if failed == 0 else 3

@@ -106,19 +106,24 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
-    """Whether ||A - A'|| <= SYM_RTOL ||A|| (Frobenius), A' = A^H or A^T.
+def _asymmetry(a: np.ndarray, hermitian: bool) -> float:
+    """||A - A'|| / ||A|| (Frobenius), A' = A^H or A^T; 0 for A = 0.
 
     A is divided by its largest absolute entry first, so neither norm
-    overflows or underflows and the verdict does not depend on A's scale.
-    The norms are compared squared (vdot(x, x) = ||x||^2).
+    overflows or underflows and the value does not depend on A's scale
+    (vdot(x, x) = ||x||^2).
     """
     peak = np.abs(a).max()
     if peak == 0.0:
-        return True
+        return 0.0
     a = a / peak
     diff = a - (a.conj().T if hermitian else a.T)
-    return np.vdot(diff, diff).real <= SYM_RTOL**2 * np.vdot(a, a).real
+    return float(np.vdot(diff, diff).real / np.vdot(a, a).real) ** 0.5
+
+
+def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
+    """Whether ||A - A'|| <= SYM_RTOL ||A||, A' = A^H or A^T."""
+    return _asymmetry(a, hermitian) <= SYM_RTOL
 
 
 def _not_positive(smallest, largest) -> bool:

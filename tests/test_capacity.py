@@ -87,6 +87,19 @@ def test_flagged_violations_measure_past_their_threshold(scale):
         assert v.measured <= v.threshold
     at_one = cap.check_assumptions(scalar_spec(p_z=1.0, power=9.0))
     assert [v.measured >= v.threshold for v in at_one] == [True]
+    # invalid noise: C_z singular or indefinite (eigenvalue at or below its
+    # limit), C_z not Hermitian or P_z not symmetric (asymmetry above SYM_RTOL)
+    zero = np.zeros((2, 2))
+    for c_z, p_z, name, below in [
+            (np.diag([1.0, 1e-13]), zero, cap.NOISE_COV_SINGULAR, True),
+            (np.diag([1.0, -1.0]), zero, cap.NOISE_PAIR_INVALID, True),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), zero, cap.NOISE_PAIR_INVALID, False),
+            (np.eye(2), np.array([[0.3, 0.1], [0.2, 0.2]]), cap.NOISE_PAIR_INVALID, False)]:
+        noise = so.SecondOrderPair(cov=scale * c_z, pcov=scale * p_z)
+        (v,) = cap.check_assumptions(cap.ChannelSpec(h=np.eye(2), noise=noise, power=9.0))
+        assert v.name == name
+        assert np.isfinite(v.measured) and np.isfinite(v.threshold)
+        assert (v.measured <= v.threshold) if below else (v.measured > v.threshold)
 
 
 @pytest.mark.parametrize("lam, at_one", [(1.0 - 0.5e-10, True), (1.0 - 2e-10, False)])

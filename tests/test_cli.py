@@ -48,6 +48,19 @@ def test_usage_errors_exit_one(capsys):
     assert main(["capacity", "only-one-file"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "capacity", "--samples", "0"],
+    ["analog-sample", "C", "P", "--samples", "-3", "--output", "d"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--seed", "abc"],
+])
+def test_bad_seed_or_samples_is_a_usage_error(files, argv, capsys):
+    argv = [files.get(a, a) if a in ("C", "P") else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if "error:" in line]) == 1
+
+
 def test_entropy_nats_and_bits(files, capsys):
     assert main(["entropy", files["C"], files["P0"]]) == 0
     nats_line = capsys.readouterr().out.splitlines()[0]
@@ -210,6 +223,14 @@ def test_verify_writes_report(files, tmp_path, capsys):
     assert report["suite"] == "capacity"
     assert report["passed"] is True
     assert all(r["passed"] for r in report["results"])
+    fields = {"name", "passed", "detail", "measured", "tolerance", "samples", "k", "d", "values"}
+    assert all(set(r) == fields for r in report["results"])
+    mi = [r for r in report["results"] if r["name"].endswith("matches scalar capacity")][0]
+    assert (mi["samples"], mi["k"], mi["d"]) == (2000, 4, 2)
+    assert mi["measured"] <= mi["tolerance"]
+    assert f"{mi['measured']:.4f}" in mi["detail"]
+    printed = capsys.readouterr().out.splitlines()
+    assert f"[PASS] {mi['name']}: {mi['detail']}" in printed
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -235,5 +235,5 @@ def test_spatial_order_follows_the_z_curve():
 
 def test_entropy_verify_suite_passes():
     results = verify.run_suite("entropy", 2026, 100_000)
-    assert len(results) == 10
+    assert len(results) == 11
     assert [r for r in results if not r.passed] == []
