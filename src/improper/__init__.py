@@ -56,7 +56,6 @@ from .linalg import (
     hermitian_eig,
     operator_norm,
     overline_map,
-    svd,
     takagi,
     underline_map,
 )

@@ -11,13 +11,16 @@ This module provides:
 * analog_gaussian_density:  the closed-form density of the analog of a
                             zero-mean improper Gaussian (a Bessel-I0 form),
 * bessel_i0 / log_bessel_i0: the modified Bessel function of the first kind,
-                            order zero, with a log-domain path,
+                            order zero, in log domain via scipy.special.i0e,
 * divergence_to_analog:     kNN estimate of D(x || x_a) via the identity
                             D = h(reduced sheared rep) - h(full sheared rep),
                             i.e. the phase information left in the last
                             sheared phase given everything else,
 * analog_entropy_gap:       h(x_a) - h(x) estimated from samples; equals the
                             divergence in distributional truth and is >= 0.
+
+Only the Bessel functions (so the densities) and the kNN estimators load
+scipy, on first call; circularize and analog_gaussian_model are numpy-only.
 """
 
 from __future__ import annotations
@@ -27,20 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import second_order, transforms
-from .entropy import (
-    DEFAULT_K,
-    _grouped_jackknife_stderr,
-    _knn_entropy_points,
-    knn_entropy,
-)
+from .entropy import DEFAULT_K, _knn_entropy_points, knn_entropy
 from .errors import DegenerateConditional, InvalidPair, TiedSamples, TooFewSamples
 
 # Threshold for declaring the phase conditional degenerate: the honest
 # estimate is >= 0 up to a few hundredths of a nat of estimator noise, while
 # a point-mass phase sends the estimate to -infinity like -log N.
 DEGENERATE_THRESHOLD = -0.5
-
-_I0_SWITCH = 15.0  # power series below, asymptotic series above
 
 
 def circularize(samples: second_order.SampleSet, seed: int) -> second_order.SampleSet:
@@ -58,61 +54,22 @@ def circularize(samples: second_order.SampleSet, seed: int) -> second_order.Samp
 
 
 def bessel_i0(x) -> np.ndarray | float:
-    """Modified Bessel function I0 for x >= 0, relative error <= 1e-12.
-
-    Power series sum_m (x/2)^(2m) / (m!)^2 up to x = 15; beyond that the
-    asymptotic form e^x / sqrt(2 pi x) times a correction series, truncated
-    at its smallest term. Both branches agree to ~1e-13 at the switch point.
-    """
+    """Modified Bessel function I0 for x >= 0: exp(log_bessel_i0(x))."""
     return np.exp(log_bessel_i0(x))
 
 
 def log_bessel_i0(x) -> np.ndarray | float:
-    """log I0(x) for x >= 0 without overflow (I0 grows like e^x)."""
+    """log I0(x) for x >= 0 without overflow (I0 grows like e^x).
+
+    x + log(i0e(x)) with scipy's exponentially scaled I0, loaded on first call.
+    """
+    from scipy.special import i0e
+
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x < 0):
         raise ValueError("bessel_i0 expects non-negative arguments")
-    out = np.empty_like(x)
-    small = x <= _I0_SWITCH
-    if np.any(small):
-        out[small] = np.log(_i0_power_series(x[small]))
-    if np.any(~small):
-        xl = x[~small]
-        out[~small] = xl - 0.5 * np.log(2.0 * np.pi * xl) + np.log(_i0_asymptotic_series(xl))
-    return float(out[0]) if scalar else out
-
-
-def _i0_power_series(x):
-    # sum_m ((x/2)^2)^m / (m!)^2, term ratio q / (m+1)^2 with q = (x/2)^2
-    q = (0.5 * x) ** 2
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for m in range(1, 200):
-        term = term * q / (m * m)
-        total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-
-def _i0_asymptotic_series(x):
-    # correction series sum_k a_k / x^k with a_0 = 1, a_k = ((2k-1)!!)^2 / (8^k k!);
-    # asymptotic, so stop per-entry at the smallest term (or when negligible)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    active = np.ones_like(x, dtype=bool)
-    for k in range(1, 60):
-        term = term * ((2 * k - 1) ** 2) / (8.0 * k * x)
-        tabs = np.abs(term)
-        active &= (tabs < prev) & (tabs > 1e-17 * total)
-        total = np.where(active, total + term, total)
-        prev = tabs
-        if not np.any(active):
-            break
-    return total
+    out = x + np.log(i0e(x))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -228,8 +185,6 @@ def analog_entropy_gap(
     Non-negative in distributional truth, zero exactly for circular inputs,
     and equal to divergence_to_analog for the same distribution.
     """
-    if samples.count < 100 * k:
-        raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
     rotated = circularize(samples, seed)
     h_rot = knn_entropy(rotated, k)
     h_orig = knn_entropy(samples, k)

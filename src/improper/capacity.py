@@ -11,7 +11,9 @@ with optimal input C_x = L I - H^-1 C_z H^-H (uniform water level
 L = (S + tr)/n) and P_x = -H^-1 P_z H^-T: the input's complementary
 covariance actively cancels the noise's. capacity_loss quantifies the rate
 forfeited by a transceiver designed as if the noise were proper; it is
-always below n log(2/sqrt(3)).
+always below n log(2/sqrt(3)). scalar_powers, the real/imaginary power
+split of the scalar channel, reads the real covariances of this solution, so
+it has no formula or assumption check of its own.
 
 A ChannelSpec is immutable and solved once, on first use: the assumption
 checks, the singular values of H, H^-1 and H^-1 C_z H^-H are cached on the
@@ -256,32 +258,30 @@ def capacity_loss(spec: ChannelSpec) -> CapacityLossResult:
 def scalar_powers(c_z: float, p_z: float, power: float):
     """Real/imaginary power split for the scalar channel (H = 1).
 
-    The noise splits into real and imaginary halves (C_z + P_z)/2 and
-    (C_z - P_z)/2; filling both to the common level (S + C_z)/2 gives input
-    powers (S - P_z)/2 and (S + P_z)/2. Returns
-    (re_noise, im_noise, re_power, im_power) with re_power + im_power = S.
+    A view of solve_capacity on ChannelSpec(1, (C_z, P_z), S): the diagonals
+    of the real covariances of the noise and of the optimal input, that is
+    (re_noise, im_noise, re_power, im_power) = ((C_z + P_z)/2, (C_z - P_z)/2,
+    (S - P_z)/2, (S + P_z)/2), with both halves filled to the level
+    (S + C_z)/2. Raises AssumptionViolated exactly where check_assumptions
+    flags the spec.
     """
-    violations = []
-    if not (c_z > 0):
-        violations.append(Violation(NOISE_COV_SINGULAR, float(c_z), 0.0,
-                                    "scalar noise variance must be positive"))
-    elif abs(p_z) > c_z:
-        violations.append(Violation(SPECTRUM_AT_ONE, abs(p_z) / c_z, 1.0,
-                                    "|P_z| must not exceed C_z"))
-    if c_z > 0 and power < 2.0 * c_z:
-        violations.append(Violation(HIGH_SNR, float(power), 2.0 * c_z,
-                                    "scalar high-SNR condition S >= 2 C_z"))
-    if violations:
-        raise AssumptionViolated(violations)
-    re_noise = 0.5 * (c_z + p_z)
-    im_noise = 0.5 * (c_z - p_z)
-    re_power = 0.5 * (power - p_z)
-    im_power = 0.5 * (power + p_z)
-    return re_noise, im_noise, re_power, im_power
+    spec = ChannelSpec(np.eye(1), second_order.SecondOrderPair([[c_z]], [[p_z]]), power)
+    x_pair = solve_capacity(spec).input_pair
+    noise = np.diag(second_order.real_covariance(spec.noise))
+    signal = np.diag(second_order.real_covariance(x_pair))
+    return tuple(float(v) for v in (*noise, *signal))
 
 
 def _spawn_seeds(seed: int, count: int):
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
+
+
+def _mi_estimate(spec: ChannelSpec, x: np.ndarray, z: np.ndarray, k: int,
+                 seed: int) -> EntropyValue:
+    """I(x; y) = h(y) - h(z): kNN h(y) of y = x H^T + z, closed-form h(z)."""
+    h_z = complex_gaussian_entropy(spec.noise).value
+    h_y = knn_entropy(second_order.SampleSet(data=x @ spec.h.T + z, seed=int(seed)), k)
+    return EntropyValue(value=h_y.value - h_z, method=KNN_ESTIMATE, stderr=h_y.stderr)
 
 
 def mc_mutual_information(
@@ -303,13 +303,10 @@ def mc_mutual_information(
     tr = float(np.trace(input_pair.cov).real)
     if tr > spec.power * (1.0 + linalg.POWER_RTOL):
         raise PowerExceeded(f"trace(C_x) = {tr:.12g} exceeds the budget {spec.power:.12g}")
-    h_z = complex_gaussian_entropy(spec.noise).value
     seed_x, seed_z = _spawn_seeds(seed, 2)
     x = second_order.sample_gaussian(input_pair, count, seed_x)
     z = second_order.sample_gaussian(spec.noise, count, seed_z)
-    y = x.data @ spec.h.T + z.data
-    h_y = knn_entropy(second_order.SampleSet(data=y, seed=int(seed)), k)
-    return EntropyValue(value=h_y.value - h_z, method=KNN_ESTIMATE, stderr=h_y.stderr)
+    return _mi_estimate(spec, x.data, z.data, k, seed)
 
 
 def verify_circular_optimality(
@@ -339,14 +336,8 @@ def verify_circular_optimality(
     x = noncircular_input.data[:count]
     seed_z, seed_psi = _spawn_seeds(seed, 2)
     z = second_order.sample_gaussian(spec.noise, count, seed_z)
-    h_z = complex_gaussian_entropy(spec.noise).value
     rotated = circularize(
         second_order.SampleSet(data=x, seed=noncircular_input.seed), seed_psi
     )
-    y1 = x @ spec.h.T + z.data
-    y2 = rotated.data @ spec.h.T + z.data
-    h1 = knn_entropy(second_order.SampleSet(data=y1, seed=int(seed)), k)
-    h2 = knn_entropy(second_order.SampleSet(data=y2, seed=int(seed)), k)
-    mi1 = EntropyValue(value=h1.value - h_z, method=KNN_ESTIMATE, stderr=h1.stderr)
-    mi2 = EntropyValue(value=h2.value - h_z, method=KNN_ESTIMATE, stderr=h2.stderr)
-    return mi1, mi2
+    return (_mi_estimate(spec, x, z.data, k, seed),
+            _mi_estimate(spec, rotated.data, z.data, k, seed))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import re
 import sys

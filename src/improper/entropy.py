@@ -24,10 +24,12 @@ Estimators
 ----------
 knn_entropy implements the Kozachenko-Leonenko k-nearest-neighbor estimator
 on the 2n-dimensional real representation (Euclidean metric, default k = 4),
-with a delete-group jackknife standard error. knn_kl_divergence is the
-two-sample nearest-neighbor divergence estimator (Wang-Kulkarni-Verdu),
-clamped at zero. Estimator accuracy is calibrated for dimensions 2n <= 10
-at sample sizes around 1e5; tolerances in the test-suite are frozen there.
+with a delete-group jackknife standard error over 10 strided groups (row i
+in group i mod 10, so rows stored block by block do not inflate it).
+knn_kl_divergence is the two-sample nearest-neighbor divergence estimator
+(Wang-Kulkarni-Verdu), clamped at zero. Estimator accuracy is calibrated
+for dimensions 2n <= 10 at sample sizes around 1e5; tolerances in the
+test-suite are frozen there.
 
 The kd-tree query dominates their cost. Each query asks for the k-th
 neighbor distance alone and visits the points along a Z-order (Morton)
@@ -203,12 +205,13 @@ def _knn_entropy_points(points: np.ndarray, k: int, boxsize=None):
 
 
 def _grouped_jackknife_stderr(terms: np.ndarray, groups: int = JACKKNIFE_GROUPS) -> float:
-    """Delete-group jackknife stderr of a mean over per-point contributions."""
+    """Delete-group jackknife stderr of a mean over per-point contributions,
+    point i in group i mod groups so that every group spans all the rows."""
     n = terms.shape[0]
     groups = min(groups, n)
-    chunks = np.array_split(np.arange(n), groups)
+    chunks = [terms[j::groups] for j in range(groups)]
     total = terms.sum()
-    loo = np.array([(total - terms[idx].sum()) / (n - len(idx)) for idx in chunks])
+    loo = np.array([(total - c.sum()) / (n - c.size) for c in chunks])
     g = len(loo)
     return float(np.sqrt((g - 1) / g * np.sum((loo - loo.mean()) ** 2)))
 
@@ -218,8 +221,8 @@ def knn_entropy(samples: second_order.SampleSet, k: int = DEFAULT_K) -> EntropyV
 
     Runs Kozachenko-Leonenko with Euclidean metric on the stacked real
     representation [Re x; Im x]. The stderr is a delete-group jackknife over
-    the per-point contributions (10 equal index blocks). Raises TiedSamples
-    when some point has k or more exact duplicates.
+    the per-point contributions (10 strided groups: row i in group i mod 10).
+    Raises TiedSamples when some point has k or more exact duplicates.
     """
     if samples.count < 100 * k:
         raise TooFewSamples(f"need at least {100 * k} samples for k={k}")

@@ -57,13 +57,23 @@ def _as_real_array(doc: dict, path: str, field: str, shape) -> np.ndarray:
     return arr
 
 
+def _positive_ints(doc: dict, path: str, *fields: str) -> tuple:
+    for field in fields:
+        if not isinstance(doc.get(field), int) or doc[field] < 1:
+            raise ParseError(f"{path}: field {field!r} must be a positive integer")
+    return tuple(doc[field] for field in fields)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Read one complex matrix from a matrix file."""
     doc = _load_json(path)
-    for field in ("n", "m"):
-        if not isinstance(doc.get(field), int) or doc[field] < 1:
-            raise ParseError(f"{path}: field {field!r} must be a positive integer")
-    shape = (doc["n"], doc["m"])
+    shape = _positive_ints(doc, path, "n", "m")
     re = _as_real_array(doc, path, "re", shape)
     im = _as_real_array(doc, path, "im", shape)
     return re + 1j * im
@@ -77,17 +87,13 @@ def write_matrix(path: str, a) -> None:
         "re": a.real.tolist(),
         "im": a.imag.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def read_samples(path: str) -> SampleSet:
     doc = _load_json(path)
-    for field in ("n", "count"):
-        if not isinstance(doc.get(field), int) or doc[field] < 1:
-            raise ParseError(f"{path}: field {field!r} must be a positive integer")
-    shape = (doc["count"], doc["n"])
+    n, count = _positive_ints(doc, path, "n", "count")
+    shape = (count, n)
     re = _as_real_array(doc, path, "re", shape)
     im = _as_real_array(doc, path, "im", shape)
     seed = doc.get("seed", 0)
@@ -106,9 +112,7 @@ def write_samples(path: str, samples: SampleSet, manifest: dict | None = None) -
     }
     if manifest is not None:
         doc["manifest"] = manifest
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def make_manifest(command: str, flags: dict, seed: int, version: str) -> dict:
@@ -123,6 +127,4 @@ def make_manifest(command: str, flags: dict, seed: int, version: str) -> dict:
 
 
 def write_report(path: str, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, report)

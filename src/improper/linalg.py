@@ -1,6 +1,6 @@
 """Dense complex-matrix kernel.
 
-Real embeddings of complex matrices, SVD, Hermitian eigendecomposition,
+Real embeddings of complex matrices, Hermitian eigendecomposition,
 Takagi factorization of complex symmetric matrices, and the generalized
 Cholesky factor B with B B^H = A. Matrices are plain numpy arrays
 (complex128 / float64); everything here is a pure function.
@@ -85,17 +85,6 @@ def underline_map(a) -> np.ndarray:
     """
     a = as_complex(a)
     return np.block([[a.real, a.imag], [a.imag, -a.real]])
-
-
-def svd(a):
-    """Full SVD: returns (U, sigma, V) with A = U @ D @ V^H.
-
-    sigma is descending with min(n, m) entries; U (n x n) and V (m x m) are
-    unitary, and D is the (n x m) matrix carrying sigma on its diagonal.
-    """
-    a = as_complex(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return u, s, vh.conj().T
 
 
 def operator_norm(a) -> float:

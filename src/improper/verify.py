@@ -84,13 +84,21 @@ def _random_complex(rng, n, m) -> np.ndarray:
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def _random_pair(rng, n, lam_max) -> second_order.SecondOrderPair:
-    """Random pair whose circularity spectrum has the exact maximum lam_max."""
+def _random_pair(rng, n, lam_max, exact_max=True) -> second_order.SecondOrderPair:
+    """Random pair with circularity spectrum lam_max * u, u uniform on [0, 1)^n.
+
+    With exact_max, u is sorted descending and rescaled to max 1, so lam_max
+    is the exact maximum.
+    """
     a = _random_complex(rng, n, n)
     c = a @ a.conj().T + 0.1 * np.eye(n)
     b = linalg.generalized_cholesky(c)
-    lams = np.sort(rng.random(n))[::-1]
-    lams = lams / lams[0] * lam_max if lams[0] > 0 else np.full(n, float(lam_max))
+    lams = rng.random(n)
+    if exact_max:
+        lams = np.sort(lams)[::-1]
+        lams = lams / lams[0] * lam_max if lams[0] > 0 else np.full(n, float(lam_max))
+    else:
+        lams = lam_max * lams
     q = np.linalg.qr(_random_complex(rng, n, n))[0]
     p = b @ (q * lams) @ q.T @ b.T
     return second_order.SecondOrderPair(cov=c, pcov=0.5 * (p + p.T))
@@ -99,15 +107,9 @@ def _random_pair(rng, n, lam_max) -> second_order.SecondOrderPair:
 def _random_spec(rng, n) -> capacity.ChannelSpec:
     """Random admissible channel: improper noise with lambda < 0.9, S = 2.5 n ||H^-1 C_z H^-H||."""
     h = np.eye(n) + 0.1 * _random_complex(rng, n, n)
-    a = _random_complex(rng, n, n)
-    c_z = a @ a.conj().T + 0.1 * np.eye(n)
-    b = linalg.generalized_cholesky(c_z)
-    lams = 0.9 * rng.random(n)
-    q = np.linalg.qr(_random_complex(rng, n, n))[0]
-    p_z = b @ (q * lams) @ q.T @ b.T
-    noise = second_order.SecondOrderPair(cov=c_z, pcov=0.5 * (p_z + p_z.T))
+    noise = _random_pair(rng, n, 0.9, exact_max=False)
     h_inv = np.linalg.inv(h)
-    power = 2.5 * n * linalg.operator_norm(h_inv @ c_z @ h_inv.conj().T)
+    power = 2.5 * n * linalg.operator_norm(h_inv @ noise.cov @ h_inv.conj().T)
     return capacity.ChannelSpec(h=h, noise=noise, power=float(power))
 
 
@@ -395,11 +397,9 @@ def _improper_knn_entropy(rng, samples):
 def _mixture_entropy_gap(rng, samples):
     half = samples // 2
     other = second_order.SecondOrderPair(cov=0.5 * np.eye(1), pcov=np.array([[-0.3]]))
-    data = np.concatenate([
+    mix = second_order.SampleSet(data=np.concatenate([
         second_order.sample_gaussian(_IMPROPER, half, _seed(rng)).data,
-        second_order.sample_gaussian(other, samples - half, _seed(rng)).data])
-    # shuffled, so the jackknife's index blocks are not the two components
-    mix = second_order.SampleSet(data=data[rng.permutation(samples)], seed=0)
+        second_order.sample_gaussian(other, samples - half, _seed(rng)).data]), seed=0)
     h = entropy.knn_entropy(mix)
     h_a = entropy.knn_entropy(analog.circularize(mix, _seed(rng)))
     three_se = 3 * float(np.hypot(h.stderr, h_a.stderr))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import i0, i0e
+from scipy.special import i0e
 
 from improper import analog, entropy, second_order as so, transforms as tf
 from improper.errors import DegenerateConditional, InvalidPair, TiedSamples, TooFewSamples
@@ -35,22 +35,27 @@ def test_circularize_on_circular_input_stays_circular():
     assert after <= 2.0 / np.sqrt(n)
 
 
-def test_bessel_i0_against_scipy():
-    grid = np.concatenate([
-        np.linspace(0.0, 14.999, 400),
-        np.array([15.0, 15.000001, 15.1]),
-        np.linspace(16.0, 300.0, 200),
-    ])
-    mine = analog.bessel_i0(grid[grid <= 700])
-    ref = i0(grid[grid <= 700])
-    np.testing.assert_allclose(mine, ref, rtol=1e-12)
+def test_bessel_i0_matches_defining_integral():
+    # I0(x) = integral over one period of exp(x cos(2 pi t)) dt, written as
+    # e^x * mean(exp(-2x sin^2(pi t))); the rectangle rule on a periodic
+    # integrand converges geometrically, so 4096 nodes are exact to round-off
+    grid = np.concatenate([np.linspace(0.0, 20.0, 401), np.linspace(20.5, 700.0, 200)])
+    t = np.arange(4096) / 4096
+    scaled = np.exp(-2.0 * grid[:, None] * np.sin(np.pi * t) ** 2).mean(axis=1)
+    np.testing.assert_allclose(analog.bessel_i0(grid), np.exp(grid) * scaled, rtol=1e-12)
 
 
-def test_log_bessel_i0_large_arguments():
-    # direct i0 overflows near 710; the log form must stay finite and accurate
-    for x in (500.0, 700.0, 5000.0, 1e6):
-        expected = np.log(i0e(x)) + x
-        assert analog.log_bessel_i0(x) == pytest.approx(expected, rel=1e-12)
+def test_log_bessel_i0_matches_asymptotic_series():
+    # direct I0 overflows near 710; the log form must stay finite and match
+    # e^x / sqrt(2 pi x) * sum_k a_k x^-k, a_k = ((2k-1)!!)^2 / (8^k k!),
+    # whose ninth term is below 1e-20 of the first for x >= 500
+    for x in np.concatenate([[500.0, 700.0, 5000.0, 1e6], np.geomspace(500.0, 1e6, 40)]):
+        term, series = 1.0, 1.0
+        for k in range(1, 9):
+            term *= (2 * k - 1) ** 2 / (8.0 * k * x)
+            series += term
+        expected = x - 0.5 * np.log(2.0 * np.pi * x) + np.log(series)
+        assert analog.log_bessel_i0(x) == pytest.approx(expected, rel=1e-14)
 
 
 def test_bessel_i0_scalar_and_array_forms():

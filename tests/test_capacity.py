@@ -236,6 +236,24 @@ def test_scalar_powers_violations():
         cap.scalar_powers(1.0, 1.5, 9.0)
     with pytest.raises(AssumptionViolated):
         cap.scalar_powers(1.0, 0.0, 1.0)
+    # |P_z| = C_z puts the noise spectrum at 1, as check_assumptions says
+    with pytest.raises(AssumptionViolated) as exc:
+        cap.scalar_powers(1.0, 1.0, 4.0)
+    assert [v.name for v in exc.value.violations] == [cap.SPECTRUM_AT_ONE]
+
+
+def test_scalar_powers_raises_exactly_where_check_assumptions_flags():
+    for c_z in (0.0, 1e-30, 0.5, 1.0, 1e20):
+        for ratio in (0.0, -0.5, 0.999, 1.0, -1.0, 1.5):
+            for power in (0.0, c_z, 2.0 * c_z, 2.0 * c_z * (1 + 1e-6), 7.0 * c_z + 3.0):
+                p_z = ratio * c_z
+                flagged = cap.check_assumptions(scalar_spec(p_z, power, c_z))
+                try:
+                    cap.scalar_powers(c_z, p_z, power)
+                    raised = []
+                except AssumptionViolated as exc:
+                    raised = exc.violations
+                assert raised == flagged, (c_z, p_z, power)
 
 
 def test_mc_mutual_information_scalar():

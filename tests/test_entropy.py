@@ -122,6 +122,19 @@ def test_knn_entropy_scaling_law():
     assert shift == pytest.approx(2 * np.log(2), abs=0.05)
 
 
+def test_knn_entropy_stderr_does_not_depend_on_row_order():
+    # two components stored one after the other, then the same rows shuffled
+    n = 100_000
+    other = so.SecondOrderPair(cov=0.5 * np.eye(1), pcov=np.array([[-0.3]], dtype=complex))
+    data = np.concatenate([so.sample_gaussian(scalar_pair(0.8), n // 2, seed=31).data,
+                           so.sample_gaussian(other, n // 2, seed=32).data])
+    shuffled = data[np.random.default_rng(33).permutation(n)]
+    blocks = entropy.knn_entropy(so.SampleSet(data=data, seed=0))
+    mixed = entropy.knn_entropy(so.SampleSet(data=shuffled, seed=0))
+    assert blocks.value == pytest.approx(mixed.value, abs=1e-12)
+    assert 1 / 1.5 <= blocks.stderr / mixed.stderr <= 1.5
+
+
 def test_knn_entropy_too_few():
     x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 300, seed=64)
     with pytest.raises(TooFewSamples):

@@ -1,4 +1,5 @@
-"""scipy loads only where the kNN estimators and the verify statistics need it.
+"""scipy loads only where the kNN estimators, the analog density's Bessel
+function and the verify statistics need it.
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy loaded already.
@@ -47,6 +48,20 @@ def test_closed_form_paths_never_load_scipy(tmp_path):
                       "--output", "analog"]):
             assert improper.cli.main(argv) == 0, argv
             assert not scipy_modules(), argv
+        """, cwd=tmp_path)
+
+
+def test_analog_model_is_numpy_only_and_density_loads_scipy_special(tmp_path):
+    run_python("""
+        import sys
+        import numpy as np
+        import improper
+
+        pair = improper.SecondOrderPair(cov=np.eye(1), pcov=np.array([[0.8]]))
+        model = improper.analog_gaussian_model(pair)
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        improper.analog_gaussian_density(model, np.array([0.5 + 0.5j]))
+        assert "scipy.special" in sys.modules
         """, cwd=tmp_path)
 
 

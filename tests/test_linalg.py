@@ -66,18 +66,6 @@ def test_overline_det_is_squared_modulus():
     )
 
 
-def test_svd_reconstruction():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    u, s, v = linalg.svd(a)
-    d = np.zeros((4, 6))
-    np.fill_diagonal(d, s)
-    np.testing.assert_allclose(u @ d @ v.conj().T, a, atol=1e-12)
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
-    assert np.all(np.diff(s) <= 0)
-
-
 def test_operator_norm_matches_numpy():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
