@@ -2,24 +2,26 @@
 Gaussian noise, in the high-SNR regime where the water level covers every
 eigenchannel.
 
-The closed form solves
+The capacity is I = h(y) - h(z) at the optimal Gaussian input, which fills
+every eigenchannel to one water level L = (S + tr(H^-1 C_z H^-H)) / n:
+C_x = L I - H^-1 C_z H^-H and P_x = -H^-1 P_z H^-T, so the input's
+complementary covariance actively cancels the noise's. The output is then
+proper with C_y = L H H^H, and
 
-    capacity = 2 log|det H| + n log(S + tr(H^-1 C_z H^-H))
-               - log det C_z - 0.5 sum log(1 - lambda_i^2) - n log n
+    capacity = n log(pi e L) + 2 sum log sigma_i(H) - h(z),
 
-with optimal input C_x = L I - H^-1 C_z H^-H (uniform water level
-L = (S + tr)/n) and P_x = -H^-1 P_z H^-T: the input's complementary
-covariance actively cancels the noise's. capacity_loss quantifies the rate
-forfeited by a transceiver designed as if the noise were proper; it is
-always below n log(2/sqrt(3)). scalar_powers, the real/imaginary power
-split of the scalar channel, reads the real covariances of this solution, so
-it has no formula or assumption check of its own.
+with h(z) the noise pair's closed-form entropy (complex_gaussian_entropy).
 
-A ChannelSpec is immutable and solved once, on first use: the assumption
-checks, the singular values of H, H^-1 and H^-1 C_z H^-H are cached on the
-spec (ChannelSpec.factors), and the noise pair's own cached factorization
-supplies its validity, eigenvalues and circularity coefficients, so
-check_assumptions, solve_capacity and capacity_loss on one spec share them.
+A ChannelSpec is immutable and solved once, on first use: ChannelSpec.factors
+holds the assumption list and, for an admissible spec, the read-only
+CapacityResult. check_assumptions and solve_capacity return what it holds,
+and the other quantities are views of that one solution: capacity_loss, the
+rate forfeited by a transceiver designed as if the noise were proper (always
+below n log(2/sqrt(3))), reads mu = sigma(P_x) / L, and scalar_powers, the
+real/imaginary power split of the scalar channel, reads the real covariances
+of the noise and the input. None of them has a formula or an assumption
+check of its own. The noise pair's cached factorization supplies its
+validity, eigenvalues, circularity coefficients and entropy.
 
 Out-of-assumption specs are rejected with a precise violation list rather
 than approximated: no general low-SNR water-filling is implemented, because
@@ -53,7 +55,6 @@ from .errors import (
     InvalidPair,
     NoiseNotCircular,
     PowerExceeded,
-    TooFewSamples,
 )
 
 # Violation names
@@ -110,28 +111,23 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ChannelFactors:
-    """What every capacity quantity of one spec reads.
-
-    violations: the assumption list of check_assumptions. h_sv: singular
-    values of H. h_inv = H^-1 and g = H^-1 C_z H^-H (the noise referred to
-    the channel input), with g_norm = ||g||_2: None / nan when a violation
-    stopped the checks before they were needed.
-    """
-
-    violations: tuple
-    h_sv: np.ndarray
-    h_inv: np.ndarray | None = None
-    g: np.ndarray | None = None
-    g_norm: float = float("nan")
-
-
-@dataclass(frozen=True)
 class CapacityResult:
+    """The solution of one admissible spec; read-only, shared by every reader."""
+
     capacity_nats: float
     input_pair: second_order.SecondOrderPair
     water_level: float
     spectrum: np.ndarray  # noise circularity coefficients
+
+
+@dataclass(frozen=True)
+class ChannelFactors:
+    """The spec's one solve: the assumption list of check_assumptions and,
+    when it is empty, the CapacityResult that every capacity quantity reads
+    (None otherwise)."""
+
+    violations: tuple
+    result: CapacityResult | None = None
 
 
 @dataclass(frozen=True)
@@ -152,10 +148,9 @@ def check_assumptions(spec: ChannelSpec) -> list[Violation]:
 
 
 def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
-    """Check the assumptions once, keeping the factors the solvers read."""
+    """Check the assumptions once and, if they all hold, solve the spec."""
     out = []
     sv = np.linalg.svd(spec.h, compute_uv=False)
-    sv.flags.writeable = False
     h_ok = not linalg._not_positive(sv[-1], sv[0])
     if not h_ok:
         out.append(Violation(H_SINGULAR, float(sv[-1]), float(linalg.EIG_RTOL * sv[0]),
@@ -169,87 +164,74 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
         d = noise.d
         out.append(Violation(NOISE_COV_SINGULAR, float(d[-1]), float(linalg.EIG_RTOL * d[0]),
                              "noise covariance singular"))
-        return ChannelFactors(tuple(out), sv)
+        return ChannelFactors(tuple(out))
     if v.reason == second_order.C_NOT_PSD:
         d = noise.d
         limit = -linalg.PSD_RTOL * float(np.max(np.abs(d)))
         out.append(Violation(NOISE_PAIR_INVALID, float(d[-1]), limit, v.reason))
-        return ChannelFactors(tuple(out), sv)
+        return ChannelFactors(tuple(out))
     if v.reason in (second_order.C_NOT_HERMITIAN, second_order.P_NOT_SYMMETRIC):
         hermitian = v.reason == second_order.C_NOT_HERMITIAN
         a = spec.noise.cov if hermitian else spec.noise.pcov
         out.append(Violation(NOISE_PAIR_INVALID, linalg._asymmetry(a, hermitian),
                              linalg.SYM_RTOL, v.reason))
-        return ChannelFactors(tuple(out), sv)
+        return ChannelFactors(tuple(out))
     # valid pair or SPECTRUM_EXCEEDS_ONE: max_lambda is measured either way
     if linalg._at_one(v.max_lambda):
         out.append(Violation(SPECTRUM_AT_ONE, float(v.max_lambda), 1.0 - linalg.LAMBDA_TOL,
                              "noise circularity coefficient at or beyond 1"))
     if not h_ok:
-        return ChannelFactors(tuple(out), sv)
+        return ChannelFactors(tuple(out))
     h_inv = np.linalg.inv(spec.h)
-    g = h_inv @ spec.noise.cov @ h_inv.conj().T
+    g = h_inv @ spec.noise.cov @ h_inv.conj().T  # the noise referred to the input
     g = 0.5 * (g + g.conj().T)
-    g_norm = linalg.operator_norm(g)
-    thr = 2.0 * spec.dim * g_norm
+    thr = 2.0 * spec.dim * linalg.operator_norm(g)
     if spec.power + linalg.EIG_RTOL * thr < thr:
         out.append(Violation(HIGH_SNR, float(spec.power), float(thr),
                              "power below the high-SNR threshold 2n||H^-1 C_z H^-H||"))
-    for a in (h_inv, g):
-        a.flags.writeable = False
-    return ChannelFactors(tuple(out), sv, h_inv, g, g_norm)
+    if out:
+        return ChannelFactors(tuple(out))
+    n = spec.dim
+    level = (spec.power + float(np.trace(g).real)) / n
+    c_x = level * np.eye(n) - g
+    p_x = -h_inv @ spec.noise.pcov @ h_inv.T
+    input_pair = second_order.SecondOrderPair(cov=0.5 * (c_x + c_x.conj().T),
+                                              pcov=0.5 * (p_x + p_x.T))
+    # C_y = L H H^H and P_y = 0, so h(y) = n log(pi e L) + 2 sum log sigma_i(H)
+    h_y = n * np.log(np.pi * np.e * level) + 2.0 * float(np.sum(np.log(sv)))
+    capacity = h_y - complex_gaussian_entropy(spec.noise).value
+    return ChannelFactors((), CapacityResult(
+        capacity_nats=float(capacity),
+        input_pair=input_pair,
+        water_level=float(level),
+        spectrum=noise.lambdas,
+    ))
 
 
 def solve_capacity(spec: ChannelSpec) -> CapacityResult:
     """Water-filling capacity with improper Gaussian noise (high-SNR closed form).
 
     Raises AssumptionViolated (carrying the violation list) for inadmissible
-    specs; otherwise returns the capacity in nats, the optimal input pair
-    (trace C_x = S, P_x = -H^-1 P_z H^-T) and the water level L.
+    specs; otherwise returns the spec's cached solution: the capacity in
+    nats, the optimal input pair (trace C_x = S, P_x = -H^-1 P_z H^-T) and
+    the water level L. Every call on one spec returns the same object.
     """
     fac = spec.factors
     if fac.violations:
         raise AssumptionViolated(fac.violations)
-    n = spec.dim
-    t = float(np.trace(fac.g).real)
-    s_plus_t = spec.power + t
-    level = s_plus_t / n
-    c_x = level * np.eye(n) - fac.g
-    c_x = 0.5 * (c_x + c_x.conj().T)
-    p_x = -fac.h_inv @ spec.noise.pcov @ fac.h_inv.T
-    p_x = 0.5 * (p_x + p_x.T)
-    lambdas = second_order.circularity_spectrum(spec.noise)
-    _, logdet_h = np.linalg.slogdet(spec.h)
-    d_z = spec.noise.factors.d
-    capacity = (
-        2.0 * logdet_h
-        + n * np.log(s_plus_t)
-        - float(np.sum(np.log(d_z)))
-        - 0.5 * float(np.sum(np.log1p(-(lambdas**2))))
-        - n * np.log(n)
-    )
-    input_pair = second_order.SecondOrderPair(cov=c_x, pcov=p_x)
-    return CapacityResult(
-        capacity_nats=float(capacity),
-        input_pair=input_pair,
-        water_level=float(level),
-        spectrum=lambdas,
-    )
+    return fac.result
 
 
 def capacity_loss(spec: ChannelSpec) -> CapacityLossResult:
     """Rate lost by a transceiver designed for proper noise.
 
-    mu_i are the singular values of (n / (S + tr)) * H^-1 P_z H^-T; the loss
-    is -0.5 sum log(1 - mu_i^2), always in [0, n log(2/sqrt(3))).
+    A view of solve_capacity: mu_i are the singular values of P_x / L, that
+    is of (n / (S + tr)) * H^-1 P_z H^-T, and the loss is
+    -0.5 sum log(1 - mu_i^2), always in [0, n log(2/sqrt(3))). Raises
+    AssumptionViolated exactly where solve_capacity does.
     """
-    fac = spec.factors
-    if fac.violations:
-        raise AssumptionViolated(fac.violations)
-    n = spec.dim
-    t = float(np.trace(fac.g).real)
-    scaled = (n / (spec.power + t)) * (fac.h_inv @ spec.noise.pcov @ fac.h_inv.T)
-    mus = np.linalg.svd(scaled, compute_uv=False)
+    res = solve_capacity(spec)
+    mus = np.linalg.svd(res.input_pair.pcov, compute_uv=False) / res.water_level
     # + 0.0 turns the -0.0 of proper noise (every mu_i = 0) into 0.0
     delta = -0.5 * float(np.sum(np.log1p(-(mus**2)))) + 0.0
     return CapacityLossResult(delta_c_nats=delta, mus=mus)
@@ -270,10 +252,6 @@ def scalar_powers(c_z: float, p_z: float, power: float):
     noise = np.diag(second_order.real_covariance(spec.noise))
     signal = np.diag(second_order.real_covariance(x_pair))
     return tuple(float(v) for v in (*noise, *signal))
-
-
-def _spawn_seeds(seed: int, count: int):
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
 
 
 def _mi_estimate(spec: ChannelSpec, x: np.ndarray, z: np.ndarray, k: int,
@@ -303,7 +281,7 @@ def mc_mutual_information(
     tr = float(np.trace(input_pair.cov).real)
     if tr > spec.power * (1.0 + linalg.POWER_RTOL):
         raise PowerExceeded(f"trace(C_x) = {tr:.12g} exceeds the budget {spec.power:.12g}")
-    seed_x, seed_z = _spawn_seeds(seed, 2)
+    seed_x, seed_z = second_order._spawn_seeds(seed, 2)
     x = second_order.sample_gaussian(input_pair, count, seed_x)
     z = second_order.sample_gaussian(spec.noise, count, seed_z)
     return _mi_estimate(spec, x.data, z.data, k, seed)
@@ -312,7 +290,6 @@ def mc_mutual_information(
 def verify_circular_optimality(
     spec: ChannelSpec,
     noncircular_input: second_order.SampleSet,
-    count: int | None = None,
     k: int = DEFAULT_K,
     seed: int = 0,
 ):
@@ -322,22 +299,14 @@ def verify_circular_optimality(
     cannot lower the mutual information when the noise is circular, so up to
     estimator noise mi_circularized >= mi_original - 3 stderr.
 
-    Uses the first `count` vectors of the input (all if None; TooFewSamples
-    if the set is smaller), and the same noise draws for both evaluations so
+    Both evaluations use the same noise draws, one per input vector, so
     their difference is estimated with reduced variance.
     """
     c_norm = linalg.operator_norm(spec.noise.cov)
     if linalg.operator_norm(spec.noise.pcov) > linalg.PROPER_RTOL * c_norm:
         raise NoiseNotCircular("noise complementary covariance must vanish")
-    if count is None:
-        count = noncircular_input.count
-    if noncircular_input.count < count:
-        raise TooFewSamples(f"input has {noncircular_input.count} < {count} samples")
-    x = noncircular_input.data[:count]
-    seed_z, seed_psi = _spawn_seeds(seed, 2)
-    z = second_order.sample_gaussian(spec.noise, count, seed_z)
-    rotated = circularize(
-        second_order.SampleSet(data=x, seed=noncircular_input.seed), seed_psi
-    )
-    return (_mi_estimate(spec, x, z.data, k, seed),
+    seed_z, seed_psi = second_order._spawn_seeds(seed, 2)
+    z = second_order.sample_gaussian(spec.noise, noncircular_input.count, seed_z)
+    rotated = circularize(noncircular_input, seed_psi)
+    return (_mi_estimate(spec, noncircular_input.data, z.data, k, seed),
             _mi_estimate(spec, rotated.data, z.data, k, seed))

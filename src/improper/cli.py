@@ -239,9 +239,9 @@ def cmd_analog_sample(args) -> int:
         return 1
     pair = _load_pair(args.cov_file, args.pcov_file)
     count = 10_000 if args.samples is None else args.samples
-    seeds = np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64)
-    gauss = second_order.sample_gaussian(pair, count, int(seeds[0]))
-    rotated = analog.circularize(gauss, int(seeds[1]))
+    seed_x, seed_psi = second_order._spawn_seeds(args.seed, 2)
+    gauss = second_order.sample_gaussian(pair, count, seed_x)
+    rotated = analog.circularize(gauss, seed_psi)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "analog_samples.json")
     manifest = make_manifest("analog-sample", _flags_dict(args, ("samples",)),

@@ -23,9 +23,10 @@ Gaussian of its real representation.
 Estimators
 ----------
 knn_entropy implements the Kozachenko-Leonenko k-nearest-neighbor estimator
-on the 2n-dimensional real representation (Euclidean metric, default k = 4),
-with a delete-group jackknife standard error over 10 strided groups (row i
-in group i mod 10, so rows stored block by block do not inflate it).
+on the 2n-dimensional real representation (Euclidean metric, default k = 4).
+The estimate is the mean of one term per point, and its standard error is
+the standard error of that mean, std(terms) / sqrt(N), which does not depend
+on the order of the rows.
 knn_kl_divergence is the two-sample nearest-neighbor divergence estimator
 (Wang-Kulkarni-Verdu), clamped at zero. Estimator accuracy is calibrated
 for dimensions 2n <= 10 at sample sizes around 1e5; tolerances in the
@@ -62,7 +63,6 @@ CLOSED_FORM = "CLOSED_FORM"
 KNN_ESTIMATE = "KNN_ESTIMATE"
 
 DEFAULT_K = 4
-JACKKNIFE_GROUPS = 10
 
 
 @dataclass(frozen=True)
@@ -204,31 +204,19 @@ def _knn_entropy_points(points: np.ndarray, k: int, boxsize=None):
     return float(terms.mean()), terms
 
 
-def _grouped_jackknife_stderr(terms: np.ndarray, groups: int = JACKKNIFE_GROUPS) -> float:
-    """Delete-group jackknife stderr of a mean over per-point contributions,
-    point i in group i mod groups so that every group spans all the rows."""
-    n = terms.shape[0]
-    groups = min(groups, n)
-    chunks = [terms[j::groups] for j in range(groups)]
-    total = terms.sum()
-    loo = np.array([(total - c.sum()) / (n - c.size) for c in chunks])
-    g = len(loo)
-    return float(np.sqrt((g - 1) / g * np.sum((loo - loo.mean()) ** 2)))
-
-
 def knn_entropy(samples: second_order.SampleSet, k: int = DEFAULT_K) -> EntropyValue:
     """kNN entropy of a complex sample set, in nats.
 
     Runs Kozachenko-Leonenko with Euclidean metric on the stacked real
-    representation [Re x; Im x]. The stderr is a delete-group jackknife over
-    the per-point contributions (10 strided groups: row i in group i mod 10).
+    representation [Re x; Im x]. The stderr is the standard error of the
+    mean of the per-point contributions, std(terms, ddof=1) / sqrt(N).
     Raises TiedSamples when some point has k or more exact duplicates.
     """
     if samples.count < 100 * k:
         raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
     points = linalg.real_vector(samples.data)
     value, terms = _knn_entropy_points(points, k)
-    stderr = _grouped_jackknife_stderr(terms)
+    stderr = float(terms.std(ddof=1) / np.sqrt(terms.shape[0]))
     return EntropyValue(value=value, method=KNN_ESTIMATE, stderr=stderr)
 
 

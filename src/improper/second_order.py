@@ -296,6 +296,11 @@ def validate_pair(c, p) -> PairValidity:
     return _factor_pair(c, p).validity
 
 
+def _spawn_seeds(seed: int, count: int) -> list[int]:
+    """count independent child seeds of one seed, from SeedSequence(seed)."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
+
+
 def sample_gaussian(pair: SecondOrderPair, count: int, seed: int) -> SampleSet:
     """Draw N i.i.d. complex Gaussian vectors with the pair's moments.
 
