@@ -109,7 +109,9 @@ def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | f
         * exp(-sum |y_i|^2 / (1 - lambda_i^2))
         * I0(|sum d_i y_i^2|),   d_i = lambda_i / (1 - lambda_i^2),
 
-    and the |det W|^2 change-of-variables factor converts back to x.
+    and the |det W|^2 change-of-variables factor converts back to x: with Q
+    unitary, 2 log|det W| = -sum log d over the eigenvalues d of C, which
+    the pair's factorization already holds.
     """
     x = np.asarray(x, dtype=complex)
     y = x @ model.whitener.T
@@ -118,9 +120,9 @@ def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | f
     d = lam / one_minus
     quad = np.sum((y.real**2 + y.imag**2) / one_minus, axis=-1)
     bessel_arg = np.abs(np.sum(d * y**2, axis=-1))
-    _, logdet = np.linalg.slogdet(model.whitener)
+    log_det_c = np.sum(np.log(model.pair.factors.cov_eigenvalues()))
     n = lam.size
-    log_norm = 2.0 * logdet - n * np.log(np.pi) - 0.5 * np.sum(np.log(one_minus))
+    log_norm = -log_det_c - n * np.log(np.pi) - 0.5 * np.sum(np.log(one_minus))
     out = log_norm - quad + log_bessel_i0(bessel_arg)
     if np.ndim(out) == 0:
         return float(out)

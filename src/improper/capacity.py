@@ -41,7 +41,6 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, second_order
-from .analog import circularize
 from .entropy import (
     DEFAULT_K,
     KNN_ESTIMATE,
@@ -302,6 +301,8 @@ def verify_circular_optimality(
     Both evaluations use the same noise draws, one per input vector, so
     their difference is estimated with reduced variance.
     """
+    from .analog import circularize  # here, so solving a channel never loads analog
+
     c_norm = linalg.operator_norm(spec.noise.cov)
     if linalg.operator_norm(spec.noise.pcov) > linalg.PROPER_RTOL * c_norm:
         raise NoiseNotCircular("noise complementary covariance must vanish")

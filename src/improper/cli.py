@@ -7,21 +7,22 @@ only, written reports always carry nats.
 
 Exit codes: 0 success, 1 I/O or parse or usage error, 2 domain rejection
 (invalid pair, assumption violation), 3 verification-suite failure.
+
+Only what parsing arguments and reading files needs is imported here; each
+command imports the modules it computes with, so a cold `improper validate`
+never loads the entropy, capacity, analog or verify code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import os
 import re
 import sys
 
 import numpy as np
 
-from . import __version__, analog, capacity, second_order, verify
-from .entropy import complex_gaussian_entropy, neeser_massey_bound
+from . import __version__, second_order
 from .errors import AssumptionViolated, DomainError, InvalidPair
 from .fileio import (ParseError, make_manifest, read_matrix, write_matrix,
                      write_report, write_samples)
@@ -48,6 +49,16 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
     return parse
+
+
+def _suite(text: str) -> str:
+    """argparse type: a name in verify.SUITES; imports verify, so only `verify` parses it."""
+    from .verify import SUITES
+
+    if text not in SUITES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, SUITES))})")
+    return text
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -103,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a seeded property suite and report each check")
-    p.add_argument("--suite", choices=verify.SUITES, default="all",
+    p.add_argument("--suite", type=_suite, default="all",
                    help="which suite to run (default all)")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -159,6 +170,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    from .entropy import complex_gaussian_entropy, neeser_massey_bound
+
     pair = _load_pair(args.cov_file, args.pcov_file)
     ent = complex_gaussian_entropy(pair)
     bound = neeser_massey_bound(pair)
@@ -178,6 +191,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from . import capacity
+
     h = read_matrix(args.h_file)
     noise = _load_pair(args.noise_cov_file, args.noise_pcov_file)
     spec = capacity.ChannelSpec(h=h, noise=noise, power=args.power)
@@ -223,6 +238,8 @@ def cmd_capacity(args) -> int:
 
 
 def _append_csv_row(path, row) -> None:
+    import csv
+
     header = ["n", "S", "lambda_max", "capacity_nats", "delta_c_nats",
               "water_level", "seed"]
     fresh = not os.path.exists(path)
@@ -237,11 +254,13 @@ def cmd_analog_sample(args) -> int:
     if args.output is None:
         print("analog-sample requires --output", file=sys.stderr)
         return 1
+    from .analog import circularize
+
     pair = _load_pair(args.cov_file, args.pcov_file)
     count = 10_000 if args.samples is None else args.samples
     seed_x, seed_psi = second_order._spawn_seeds(args.seed, 2)
     gauss = second_order.sample_gaussian(pair, count, seed_x)
-    rotated = analog.circularize(gauss, seed_psi)
+    rotated = circularize(gauss, seed_psi)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "analog_samples.json")
     manifest = make_manifest("analog-sample", _flags_dict(args, ("samples",)),
@@ -254,6 +273,10 @@ def cmd_analog_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import dataclasses
+
+    from . import verify
+
     samples = verify.DEFAULT_SAMPLES if args.samples is None else args.samples
     results = verify.run_suite(args.suite, args.seed, samples)
     for res in results:

@@ -10,11 +10,17 @@ Sample file (JSON): {"n": dim, "count": N, "seed": s, "re": [[N x n]],
 Reports are JSON documents with a "manifest" object (command, flags, seed,
 version, timestamp) so a run can be reproduced exactly; floats are written
 with Python's shortest round-trip representation.
+
+Every file is written byte for byte as json.dump(doc, fh, indent=2) plus a
+newline would write it, but 2-D float arrays among the document's top-level
+values are streamed: _ROW_BLOCK rows at a time go through float repr (the
+formatting json itself uses) and straight to the file. json's indented
+encoder is pure Python, so this is what keeps a large sample file fast, and
+the memory it takes stays flat in the number of samples.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 
 import numpy as np
@@ -64,10 +70,45 @@ def _positive_ints(doc: dict, path: str, *fields: str) -> tuple:
     return tuple(doc[field] for field in fields)
 
 
+_ROW_BLOCK = 2048  # rows formatted per write by _write_rows
+
+
+def _streamable(value) -> bool:
+    """A non-empty finite 2-D float64 array, whose tolist() repr is json's text for it."""
+    return (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2
+            and value.size > 0 and bool(np.isfinite(value).all()))
+
+
+def _write_rows(fh, a: np.ndarray) -> None:
+    """Write a _streamable array as json.dump(indent=2) writes its tolist() as a
+    top-level value of a document: rows indented by 4 spaces, entries by 6."""
+    fh.write("[\n    [\n      ")
+    for start in range(0, a.shape[0], _ROW_BLOCK):
+        if start:
+            fh.write("\n    ],\n    [\n      ")
+        # "[[a, b], [c, d]]" -> "a,\n      b\n    ],\n    [\n      c,\n      d"
+        text = repr(a[start:start + _ROW_BLOCK].tolist())[2:-2]
+        fh.write(text.replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      "))
+    fh.write("\n    ]\n  ]")
+
+
 def _write_json(path: str, doc: dict) -> None:
+    """json.dump(doc, fh, indent=2) plus a newline, byte for byte, for a dict with str keys.
+
+    _streamable arrays among the values are written by _write_rows, any other
+    array as its tolist() and every other value by json.dumps, re-indented.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
+            if _streamable(value):
+                _write_rows(fh, value)
+                continue
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        fh.write("\n}\n" if doc else "}\n")
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -84,8 +125,8 @@ def write_matrix(path: str, a) -> None:
     doc = {
         "n": int(a.shape[0]),
         "m": int(a.shape[1]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
+        "re": a.real,
+        "im": a.imag,
     }
     _write_json(path, doc)
 
@@ -107,8 +148,8 @@ def write_samples(path: str, samples: SampleSet, manifest: dict | None = None) -
         "n": int(samples.n),
         "count": int(samples.count),
         "seed": int(samples.seed),
-        "re": samples.data.real.tolist(),
-        "im": samples.data.imag.tolist(),
+        "re": samples.data.real,
+        "im": samples.data.imag,
     }
     if manifest is not None:
         doc["manifest"] = manifest
@@ -117,6 +158,8 @@ def write_samples(path: str, samples: SampleSet, manifest: dict | None = None) -
 
 def make_manifest(command: str, flags: dict, seed: int, version: str) -> dict:
     """Run manifest embedded in every report: command, flags, seed, version, timestamp."""
+    import datetime
+
     return {
         "command": command,
         "flags": {k: flags[k] for k in sorted(flags)},

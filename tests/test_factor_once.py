@@ -4,7 +4,8 @@ The counter wraps numpy.linalg's eigh, eigvalsh, svd and inv, and counts
 norm(., 2) of a matrix as the SVD it is, so a factorization hidden in a
 helper still shows. It also counts det and slogdet, apart from the
 factorizations: the capacity reads the singular values of H and the noise
-entropy, so it takes no determinant. The package calls numpy.linalg
+entropy, so it takes no determinant, and the analog density reads its
+Jacobian from the eigenvalues of C. The package calls numpy.linalg
 through the module attribute, which is what the wrappers replace.
 """
 
@@ -95,6 +96,21 @@ def test_repeat_on_one_object_factors_nothing(factorizations, call):
         assert again.value == first.value
     else:
         np.testing.assert_array_equal(again, first)
+
+
+def test_analog_density_takes_no_determinant(factorizations):
+    c, p, _, _ = _case(3)
+    model = ip.analog_gaussian_model(ip.SecondOrderPair(cov=c, pcov=p))
+    # at x = 0 the log density is its normalizer, with the |det W|^2 Jacobian
+    normalizer = (2.0 * np.linalg.slogdet(model.whitener)[1] - 3 * np.log(np.pi)
+                  - 0.5 * np.sum(np.log(1.0 - model.lambdas**2)))
+    x = np.array([[0.3 - 0.2j, 1.1 + 0.4j, -0.5j], [0.0, 0.2, 0.7 + 0.1j]])
+    factorizations.clear()
+    for _ in range(4):
+        ip.analog_gaussian_log_density(model, x)
+    at_zero = ip.analog_gaussian_log_density(model, np.zeros(3))
+    assert sum(factorizations.values()) == 0, dict(factorizations)
+    assert abs(at_zero - normalizer) <= 1e-14 * abs(normalizer)
 
 
 def test_cli_commands_factor_each_input_once(factorizations, tmp_path, capsys):

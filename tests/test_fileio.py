@@ -76,3 +76,51 @@ def test_write_report_deterministic_but_for_timestamp(tmp_path):
     da["manifest"].pop("timestamp")
     db["manifest"].pop("timestamp")
     assert da == db
+
+
+def _sample_doc(re, im, manifest=True):
+    doc = {"n": re.shape[1], "count": re.shape[0], "seed": 3, "re": re, "im": im}
+    if manifest:
+        doc["manifest"] = fileio.make_manifest("analog-sample", {"samples": 7}, 3, "0.1.0")
+    return doc
+
+
+def _tolist(doc):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+
+
+AWKWARD = [-0.0, 5e-324, 1e16, 1.7976931348623157e308, -2.5e-7, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("doc", [
+    _sample_doc(np.array([[0.25]]), np.array([[-0.0]])),
+    _sample_doc(np.array([AWKWARD]), -np.array([AWKWARD])),  # 1 x n
+    _sample_doc(np.array([AWKWARD]).T, np.zeros((6, 1)), manifest=False),  # N x 1
+    # more rows than one block, with a partial last block
+    _sample_doc(*np.random.default_rng(1).standard_normal((2, 2 * fileio._ROW_BLOCK + 3, 3))),
+    {"n": 2, "m": 2, "re": np.array([[np.nan, 1.0], [np.inf, -np.inf]]),
+     "im": np.eye(2, dtype=int)},  # not streamed: json's NaN/Infinity and ints
+    {"valid": True, "reason": None, "lambda_max": float("nan"), "bound": float("inf"),
+     "spectrum": [0.5, -0.0, 1e-300], "empty": [], "none": {},
+     "nested": {"label": "Kreiszeichen äß∂ \U0001f600", "flags": [False, 1, "x"],
+                "deeper": {"list": [[1.5, 2], {"k": None}]}},
+     "manifest": fileio.make_manifest("verify", {"suite": "all"}, 0, "0.1.0")},
+    {},
+], ids=["1x1", "1xn", "Nx1", "row-blocks", "non-finite-array", "report", "empty"])
+def test_write_json_is_json_dump_indent_2_byte_for_byte(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    fileio._write_json(str(path), doc)
+    assert path.read_bytes() == (json.dumps(_tolist(doc), indent=2) + "\n").encode("utf-8")
+
+
+def test_samples_round_trip_bit_for_bit(tmp_path):
+    path = tmp_path / "s.json"
+    rng = np.random.default_rng(2)
+    data = rng.standard_normal((fileio._ROW_BLOCK + 5, 2)) * np.exp(rng.uniform(-300, 300, (1, 2)))
+    data = data + 1j * rng.standard_normal(data.shape)
+    data[:3, 0] = np.array(AWKWARD[:3]) + 1j * np.array(AWKWARD[3:])
+    x = so.SampleSet(data=data, seed=11)
+    fileio.write_samples(path, x)
+    back = fileio.read_samples(path)
+    assert back.data.tobytes() == x.data.tobytes()
+    assert back.seed == 11

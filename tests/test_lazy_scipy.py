@@ -1,8 +1,10 @@
-"""scipy loads only where the kNN estimators, the analog density's Bessel
-function and the verify statistics need it.
+"""Modules load only where they are used: scipy only for the kNN
+estimators, the analog density's Bessel function and the verify statistics;
+the package's own submodules only on first use of one of their names, and
+in the CLI only for the command that needs them.
 
 Each check runs in a fresh interpreter, because the test process itself has
-scipy loaded already.
+all of them loaded already.
 """
 
 import os
@@ -48,6 +50,62 @@ def test_closed_form_paths_never_load_scipy(tmp_path):
                       "--output", "analog"]):
             assert improper.cli.main(argv) == 0, argv
             assert not scipy_modules(), argv
+        """, cwd=tmp_path)
+
+
+def test_each_command_imports_only_its_own_modules(tmp_path):
+    for name, value in [("C", [[1.0, 0.2], [0.2, 2.0]]), ("P", [[0.3, 0.1], [0.1, -0.4]]),
+                        ("H", [[1.0, 0.1], [0.0, 1.0]])]:
+        fileio.write_matrix(str(tmp_path / f"{name}.json"), np.array(value, dtype=complex))
+    run_python("""
+        import sys
+
+        HEAVY = {"improper.verify", "improper.capacity", "improper.analog",
+                 "improper.entropy", "improper.transforms", "datetime", "csv"}
+
+        def loaded(names):
+            return sorted(names & set(sys.modules))
+
+        import improper
+        assert not loaded(HEAVY | {"numpy"}), loaded(HEAVY | {"numpy"})
+        import numpy  # numpy loads datetime itself; improper.cli must add none of HEAVY
+        already = set(sys.modules)
+        import improper.cli
+        assert not loaded(HEAVY - already), loaded(HEAVY - already)
+
+        main = improper.cli.main
+        assert main(["validate", "C.json", "P.json"]) == 0
+        assert not loaded(HEAVY - already), "validate"
+        assert main(["capacity", "H.json", "C.json", "P.json", "--power", "20"]) == 0
+        assert "improper.capacity" in sys.modules
+        assert not loaded({"improper.verify", "improper.analog"}), "capacity"
+        assert main(["analog-sample", "C.json", "P.json", "--samples", "200",
+                     "--output", "analog"]) == 0
+        assert "improper.analog" in sys.modules and "improper.verify" not in sys.modules
+        """, cwd=tmp_path)
+
+
+def test_every_exported_name_resolves_lazily(tmp_path):
+    run_python("""
+        import sys
+        import improper
+
+        names = list(improper.__all__)
+        assert names and set(names) <= set(dir(improper))
+        for name in names:
+            value = getattr(improper, name)
+            assert vars(improper)[name] is value, name  # cached after the first lookup
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert improper.linalg is sys.modules["improper.linalg"]
+        try:
+            improper.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("unknown names must raise AttributeError")
+        namespace = {}
+        exec("from improper import *", namespace)
+        assert set(names) <= set(namespace)
         """, cwd=tmp_path)
 
 
