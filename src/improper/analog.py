@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import second_order, transforms
-from .entropy import DEFAULT_K, _knn_entropy_points, knn_entropy
-from .errors import DegenerateConditional, InvalidPair, TiedSamples, TooFewSamples
+from .entropy import DEFAULT_K, _knn_entropy_points, _knn_guard, knn_entropy
+from .errors import DegenerateConditional, DomainError, InvalidPair, TiedSamples
 
 # Threshold for declaring the phase conditional degenerate: the honest
 # estimate is >= 0 up to a few hundredths of a nat of estimator noise, while
@@ -67,7 +67,7 @@ def log_bessel_i0(x) -> np.ndarray | float:
 
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
-        raise ValueError("bessel_i0 expects non-negative arguments")
+        raise DomainError("bessel_i0 expects non-negative arguments")
     out = x + np.log(i0e(x))
     return float(out) if out.ndim == 0 else out
 
@@ -155,8 +155,7 @@ def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) ->
     also raised when the estimate plunges far below 0 without exact ties.
     Ties in the full representation (repeated samples) raise TiedSamples.
     """
-    if samples.count < 100 * k:
-        raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
+    _knn_guard(k, samples)
     n = samples.n
     coords = _sheared_coordinates(samples)
     joint_box = np.concatenate([np.zeros(n), np.ones(n)])

@@ -51,6 +51,7 @@ from .entropy import (
 from .errors import (
     AssumptionViolated,
     DimensionMismatch,
+    DomainError,
     InvalidPair,
     NoiseNotCircular,
     PowerExceeded,
@@ -78,13 +79,11 @@ class ChannelSpec:
     power: float
 
     def __post_init__(self):
-        h = np.array(linalg.as_complex(self.h))
-        if h.shape[0] != h.shape[1]:
-            raise DimensionMismatch("channel matrix must be square")
+        h = np.array(linalg.as_matrix(self.h, square=True))
         if h.shape[0] != self.noise.dim:
             raise DimensionMismatch("channel and noise dimensions differ")
         if not np.isfinite(self.power) or self.power < 0:
-            raise ValueError("power budget must be a non-negative real")
+            raise DomainError(f"power budget must be a non-negative real, got {self.power!r}")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "power", float(self.power))

@@ -74,9 +74,7 @@ class EntropyValue:
 
 def real_gaussian_entropy(s) -> EntropyValue:
     """Entropy of a real Gaussian with covariance S: 0.5 log det(2 pi e S)."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
-        raise DimensionMismatch("covariance must be non-empty and square")
+    s = linalg.as_matrix(s, dtype=float, square=True)
     if not linalg._symmetric_within_tol(s, hermitian=False):
         raise NotPositiveDefinite("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
@@ -177,6 +175,13 @@ def _kth_distance(tree, points: np.ndarray, k: int, order: np.ndarray) -> np.nda
     return dist
 
 
+def _knn_guard(k, *sample_sets) -> None:
+    """k must be an integer >= 1 (DomainError) and each set hold 100 k points (TooFewSamples)."""
+    linalg._positive_int(k, "k")
+    if min(samples.count for samples in sample_sets) < 100 * k:
+        raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
+
+
 def _check_ties(dist: np.ndarray, what: str) -> None:
     tied = int(np.count_nonzero(dist == 0.0))
     if tied:
@@ -212,8 +217,7 @@ def knn_entropy(samples: second_order.SampleSet, k: int = DEFAULT_K) -> EntropyV
     mean of the per-point contributions, std(terms, ddof=1) / sqrt(N).
     Raises TiedSamples when some point has k or more exact duplicates.
     """
-    if samples.count < 100 * k:
-        raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
+    _knn_guard(k, samples)
     points = linalg.real_vector(samples.data)
     value, terms = _knn_entropy_points(points, k)
     stderr = float(terms.std(ddof=1) / np.sqrt(terms.shape[0]))
@@ -234,8 +238,7 @@ def knn_kl_divergence(
     """
     if p_samples.n != q_samples.n:
         raise DimensionMismatch("sample sets must share the dimension")
-    if p_samples.count < 100 * k or q_samples.count < 100 * k:
-        raise TooFewSamples(f"need at least {100 * k} samples in each set for k={k}")
+    _knn_guard(k, p_samples, q_samples)
     x = linalg.real_vector(p_samples.data)
     y = linalg.real_vector(q_samples.data)
     n, d = x.shape

@@ -13,6 +13,11 @@ of the quantity it tests, so no verdict changes when the input is
 rescaled (the circularity coefficients are invariant under congruence and
 rescaling). The private predicates apply them to scalars the caller
 already has.
+
+Beside it sits the one input gate, which decides what a well-formed input
+is and which error names each fault: as_matrix admits every matrix and
+sample set the package takes (DimensionMismatch for a wrong shape,
+DomainError for a non-finite entry), and _positive_int every count and k.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, DomainError, NotHermitian, NotPositiveDefinite, NotSymmetric
 
 # ||A - A^T|| (or A^H) within SYM_RTOL ||A|| is symmetric (Hermitian) round-off.
 SYM_RTOL = 1e-10
@@ -43,13 +48,25 @@ POWER_RTOL = 1e-8
 PROPER_RTOL = 1e-10
 
 
-def as_complex(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
+def as_matrix(a, dtype=complex, square=False, empty=False) -> np.ndarray:
+    """a as a finite 2-D dtype array, non-empty unless empty, square if square.
+
+    Raises DimensionMismatch for a wrong shape and DomainError for a non-finite entry.
+    """
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or (a.size == 0 and not empty) or (square and a.shape[0] != a.shape[1]):
+        kind = ("" if empty else "non-empty ") + ("square " if square else "")
+        raise DimensionMismatch(f"expected a {kind}matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
     return a
+
+
+def _positive_int(value, name: str) -> int:
+    """value as an int; DomainError unless it is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def real_vector(x) -> np.ndarray:
@@ -63,7 +80,7 @@ def complex_vector(xr) -> np.ndarray:
     xr = np.asarray(xr, dtype=float)
     n = xr.shape[-1] // 2
     if xr.shape[-1] != 2 * n:
-        raise ValueError("real representation must have even length")
+        raise DimensionMismatch("real representation must have even length")
     return xr[..., :n] + 1j * xr[..., n:]
 
 
@@ -73,7 +90,7 @@ def overline_map(a) -> np.ndarray:
     Multiplicative: overline_map(A @ B) = overline_map(A) @ overline_map(B),
     and unitary A maps to orthogonal overline_map(A).
     """
-    a = as_complex(a)
+    a = as_matrix(a)
     return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
@@ -83,13 +100,13 @@ def underline_map(a) -> np.ndarray:
     Pairs with overline_map: underline_map(A @ B) = overline_map(A) @ underline_map(B)
     and underline_map(A @ conj(B)) = underline_map(A) @ overline_map(B).
     """
-    a = as_complex(a)
+    a = as_matrix(a)
     return np.block([[a.real, a.imag], [a.imag, -a.real]])
 
 
 def operator_norm(a) -> float:
-    """Largest singular value (Euclidean operator norm)."""
-    a = as_complex(a)
+    """Largest singular value (Euclidean operator norm); 0 for an empty matrix."""
+    a = as_matrix(a, empty=True)
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
@@ -137,9 +154,7 @@ def hermitian_eig(a):
     a non-empty square matrix, and NotHermitian if it is not Hermitian within
     tolerance relative to its own norm.
     """
-    a = as_complex(a)
-    if a.shape[0] != a.shape[1] or a.size == 0:
-        raise DimensionMismatch(f"expected a non-empty square matrix, got {a.shape}")
+    a = as_matrix(a, square=True)
     if not _symmetric_within_tol(a, hermitian=True):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     d, u = np.linalg.eigh(0.5 * (a + a.conj().T))
@@ -223,14 +238,11 @@ def takagi(a) -> TakagiFactorization:
     singular values contribute nothing to the reconstruction, so their square
     root is taken as the identity.
 
-    Raises NotSymmetric if A is not complex symmetric within tolerance
-    (symmetric, not Hermitian: A^T = A).
+    Raises DimensionMismatch unless A is a non-empty square matrix, and
+    NotSymmetric if A is not complex symmetric within tolerance (symmetric,
+    not Hermitian: A^T = A).
     """
-    a = as_complex(a)
-    if a.shape[0] != a.shape[1]:
-        raise NotSymmetric("takagi requires a square matrix")
-    if a.size == 0:
-        raise DimensionMismatch("takagi requires a non-empty matrix")
+    a = as_matrix(a, square=True)
     if not _symmetric_within_tol(a, hermitian=False):
         raise NotSymmetric("matrix is not complex symmetric within tolerance")
     a = 0.5 * (a + a.T)

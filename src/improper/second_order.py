@@ -54,15 +54,6 @@ P_NOT_SYMMETRIC = "P_NOT_SYMMETRIC"
 SPECTRUM_EXCEEDS_ONE = "SPECTRUM_EXCEEDS_ONE"
 
 
-def _check_pair_shapes(cov, pcov) -> None:
-    """C and P must be non-empty square matrices of one shape (DimensionMismatch)."""
-    if cov.shape[0] != cov.shape[1] or cov.shape != pcov.shape or cov.size == 0:
-        raise DimensionMismatch(
-            "C and P must be non-empty and square with equal shapes, "
-            f"got {cov.shape} / {pcov.shape}"
-        )
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -181,13 +172,14 @@ class SecondOrderPair:
     mean: np.ndarray = None
 
     def __post_init__(self):
-        cov = np.array(linalg.as_complex(self.cov))
-        pcov = np.array(linalg.as_complex(self.pcov))
-        _check_pair_shapes(cov, pcov)
+        cov = np.array(linalg.as_matrix(self.cov, square=True))
+        pcov = np.array(linalg.as_matrix(self.pcov, square=True))
+        if cov.shape != pcov.shape:
+            raise DimensionMismatch(f"C and P shapes differ: {cov.shape} / {pcov.shape}")
         if self.mean is None:
             mean = np.zeros(cov.shape[0], dtype=complex)
         else:
-            mean = np.array(self.mean, dtype=complex).reshape(-1)
+            mean = linalg.as_matrix(np.reshape(self.mean, (1, -1)))[0].copy()
             if mean.shape[0] != cov.shape[0]:
                 raise DimensionMismatch("mean length must match C")
         object.__setattr__(self, "cov", _read_only(cov))
@@ -203,11 +195,16 @@ class SecondOrderPair:
         """The pair's factorization, computed on first use."""
         return _factor_pair(self.cov, self.pcov)
 
+    @cached_property
+    def _sampling_factor(self) -> np.ndarray:
+        """The eigenfactor sample_gaussian draws through, computed on first use."""
+        eigs, vecs = np.linalg.eigh(real_covariance(self))
+        return _read_only(vecs * np.sqrt(np.clip(eigs, 0.0, None)))
+
     @classmethod
     def proper(cls, cov) -> "SecondOrderPair":
         """Pair with vanishing complementary covariance (proper vector)."""
-        cov = linalg.as_complex(cov)
-        return cls(cov=cov, pcov=np.zeros_like(cov))
+        return cls(cov=cov, pcov=np.zeros_like(cov, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -218,14 +215,7 @@ class SampleSet:
     seed: int = 0
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim != 2:
-            raise ValueError("sample data must be an (N, n) array")
-        if data.shape[0] < 1:
-            raise ValueError("sample set must contain at least one vector")
-        if not np.all(np.isfinite(data.real)) or not np.all(np.isfinite(data.imag)):
-            raise ValueError("sample entries must be finite")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", linalg.as_matrix(self.data))
 
     @property
     def count(self) -> int:
@@ -253,9 +243,9 @@ def pair_from_real_covariance(s) -> SecondOrderPair:
     C = (S11 + S22) + i (S21 - S12), P = (S11 - S22) + i (S21 + S12).
     Round-trips with real_covariance. Raises NotSymmetric / NotPositiveSemidefinite.
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0 or s.size == 0:
-        raise DimensionMismatch("expected a non-empty square 2n x 2n real matrix")
+    s = linalg.as_matrix(s, dtype=float, square=True)
+    if s.shape[0] % 2 != 0:
+        raise DimensionMismatch(f"expected a 2n x 2n real matrix, got {s.shape}")
     if not linalg._symmetric_within_tol(s, hermitian=False):
         raise NotSymmetric("real covariance must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
@@ -287,13 +277,10 @@ def validate_pair(c, p) -> PairValidity:
     symmetric, and every circularity coefficient is <= 1 (closed bound, with
     linalg.LAMBDA_TOL slack so round-off cannot flip the verdict). The first
     failed check names the reason. Each test is relative to the scale of the
-    matrix it tests. For a SecondOrderPair, ``pair.factors.validity`` is the
-    same verdict without a second factorization.
+    matrix it tests. It is ``SecondOrderPair(c, p).factors.validity``, so a
+    pair already built gives the same verdict without a second factorization.
     """
-    c = linalg.as_complex(c)
-    p = linalg.as_complex(p)
-    _check_pair_shapes(c, p)
-    return _factor_pair(c, p).validity
+    return SecondOrderPair(cov=c, pcov=p).factors.validity
 
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
@@ -306,19 +293,18 @@ def sample_gaussian(pair: SecondOrderPair, count: int, seed: int) -> SampleSet:
 
     Deterministic given (pair, count, seed): a single
     default_rng(seed).standard_normal((count, 2n)) block is drawn in C order
-    and pushed through the eigenfactor of the real covariance. Negative
-    eigenvalues of the real covariance (round-off at the lambda = 1 boundary)
-    are clipped to zero, so degenerate pairs sample on their forced subspace.
+    and pushed through the eigenfactor of the real covariance (cached on the
+    pair). Negative eigenvalues of the real covariance (round-off at the
+    lambda = 1 boundary) are clipped to zero, so degenerate pairs sample on
+    their forced subspace.
     """
+    count = linalg._positive_int(count, "count")
     v = pair.factors.validity
     if not v.valid:
         raise InvalidPair(v.reason)
-    s = real_covariance(pair)
-    eigs, vecs = np.linalg.eigh(s)
-    factor = vecs * np.sqrt(np.clip(eigs, 0.0, None))
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(count), 2 * pair.dim))
-    xr = z @ factor.T + linalg.real_vector(pair.mean)
+    z = rng.standard_normal((count, 2 * pair.dim))
+    xr = z @ pair._sampling_factor.T + linalg.real_vector(pair.mean)
     return SampleSet(data=linalg.complex_vector(xr), seed=int(seed))
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import real_vector
 
 
@@ -50,7 +51,7 @@ class PolarPoint:
         r = np.asarray(self.r, dtype=float)
         phi = np.asarray(self.phi, dtype=float)
         if r.shape != phi.shape:
-            raise ValueError("r and phi must have matching shapes")
+            raise DimensionMismatch(f"r and phi shapes differ: {r.shape} / {phi.shape}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
 

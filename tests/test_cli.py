@@ -156,6 +156,14 @@ def test_capacity_violation_exits_two(files, capsys):
     assert "HIGH_SNR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("power", ["nan", "inf", "-1"])
+def test_capacity_bad_power_is_a_domain_error(files, power, capsys):
+    argv = ["capacity", files["H"], files["C"], files["P"], "--power", power]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DOMAIN_ERROR: power budget"), err
+
+
 def test_capacity_report_determinism(files, tmp_path):
     dirs = [str(tmp_path / d) for d in ("r1", "r2")]
     for d in dirs:

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import SCALES
-from improper import entropy, second_order as so, verify
+from improper import analog, entropy, second_order as so, verify
 from improper.errors import (
     DimensionMismatch,
+    DomainError,
     InvalidPair,
     NotPositiveDefinite,
     SpectrumAtOne,
     TiedSamples,
     TooFewSamples,
 )
+from test_lazy_scipy import run_python
 
 LOG_PI_E = np.log(np.pi * np.e)
 
@@ -131,6 +133,38 @@ def test_knn_entropy_too_few():
     x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 300, seed=64)
     with pytest.raises(TooFewSamples):
         entropy.knn_entropy(x)
+
+
+ESTIMATORS = {"knn_entropy": entropy.knn_entropy,
+              "knn_kl_divergence": lambda x, k: entropy.knn_kl_divergence(x, x, k),
+              "divergence_to_analog": analog.divergence_to_analog}
+
+
+@pytest.mark.parametrize("k", [0, 1.5])
+@pytest.mark.parametrize("estimator", list(ESTIMATORS))
+def test_estimators_reject_a_k_that_is_not_a_positive_integer(estimator, k):
+    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 500, seed=62)
+    with pytest.raises(DomainError, match="k must be an integer >= 1") as err:
+        ESTIMATORS[estimator](x, k)
+    assert type(err.value) is DomainError  # not TiedSamples, and no estimate
+
+
+def test_negative_k_is_rejected_before_the_tree_query(tmp_path):
+    # a fresh interpreter, since the kd-tree query given k = 0 can crash the process
+    out = run_python("""
+        import numpy as np
+        from improper import entropy, second_order as so
+        from improper.errors import DomainError
+
+        x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 500, seed=63)
+        for call in (lambda: entropy.knn_entropy(x, k=-1),
+                     lambda: entropy.knn_kl_divergence(x, x, k=-1)):
+            try:
+                call()
+            except DomainError as exc:
+                print(type(exc).__name__, exc)
+        """, cwd=tmp_path)
+    assert out.splitlines() == ["DomainError k must be an integer >= 1, got -1"] * 2
 
 
 def test_knn_kl_identical_distributions():

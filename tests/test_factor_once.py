@@ -81,19 +81,22 @@ def test_closed_form_chain_factors_at_most_ten_times(factorizations):
 
 
 @pytest.mark.parametrize("call", ["circularity_spectrum", "complex_gaussian_entropy",
-                                  "solve_capacity"])
+                                  "solve_capacity", "sample_gaussian"])
 def test_repeat_on_one_object_factors_nothing(factorizations, call):
     c, p, h, power = _case(3)
     pair = ip.SecondOrderPair(cov=c, pcov=p)
     target = ip.ChannelSpec(h=h, noise=pair, power=power) if call == "solve_capacity" else pair
-    first = getattr(ip, call)(target)
+    args = (500, 7) if call == "sample_gaussian" else ()
+    first = getattr(ip, call)(target, *args)
     factorizations.clear()
-    again = getattr(ip, call)(target)
+    again = getattr(ip, call)(target, *args)
     assert sum(factorizations.values()) == 0, dict(factorizations)
     if call == "solve_capacity":
         assert again is first  # the spec's one cached solution
     elif call == "complex_gaussian_entropy":
         assert again.value == first.value
+    elif call == "sample_gaussian":
+        np.testing.assert_array_equal(again.data, first.data)
     else:
         np.testing.assert_array_equal(again, first)
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import improper as ip
 from conftest import SCALES
 from improper import entropy, linalg, second_order as so
 from improper.errors import (
     DimensionMismatch,
+    DomainError,
     InvalidPair,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
@@ -24,6 +26,65 @@ def test_pair_shape_checks():
         so.SecondOrderPair(cov=np.eye(2), pcov=np.zeros((3, 3)))
     with pytest.raises(DimensionMismatch):
         so.SecondOrderPair(cov=np.eye(2), pcov=np.zeros((2, 2)), mean=np.zeros(3))
+
+
+def _with_entry(value):
+    a = np.eye(2)
+    a[0, 0] = value
+    return a
+
+
+# entry point -> (call on one matrix, whether it needs a square matrix)
+GATED = {
+    "SecondOrderPair": (lambda a: so.SecondOrderPair(cov=a, pcov=a), True),
+    "validate_pair": (lambda a: so.validate_pair(a, a), True),
+    "SampleSet": (lambda a: so.SampleSet(data=a), False),
+    "pair_from_real_covariance": (so.pair_from_real_covariance, True),
+    "real_gaussian_entropy": (entropy.real_gaussian_entropy, True),
+    "neeser_massey_bound": (entropy.neeser_massey_bound, True),
+    "hermitian_eig": (linalg.hermitian_eig, True),
+    "generalized_cholesky": (linalg.generalized_cholesky, True),
+    "takagi": (linalg.takagi, True),
+    "ChannelSpec": (lambda a: ip.ChannelSpec(h=a, noise=so.SecondOrderPair.proper(np.eye(2)),
+                                             power=10.0), True),
+    "overline_map": (linalg.overline_map, False),
+    "underline_map": (linalg.underline_map, False),
+}
+FAULTS = {
+    "1-D": (np.ones(2), DimensionMismatch),
+    "3-D": (np.ones((2, 2, 2)), DimensionMismatch),
+    "non-square": (np.ones((2, 4)), DimensionMismatch),
+    "0x0": (np.zeros((0, 0)), DimensionMismatch),
+    "nan": (_with_entry(np.nan), DomainError),
+    "inf": (_with_entry(np.inf), DomainError),
+}
+OTHER_FAULTS = {
+    "C/P shapes differ": (lambda: so.SecondOrderPair(cov=np.eye(2), pcov=np.eye(3)),
+                          DimensionMismatch),
+    "odd 2n": (lambda: so.pair_from_real_covariance(np.eye(3)), DimensionMismatch),
+    "odd real vector": (lambda: linalg.complex_vector(np.ones(3)), DimensionMismatch),
+    "PolarPoint r/phi": (lambda: ip.PolarPoint(r=np.ones(2), phi=np.ones(3)), DimensionMismatch),
+    "SampleSet 0 rows": (lambda: so.SampleSet(data=np.zeros((0, 2))), DimensionMismatch),
+    "SampleSet 0 columns": (lambda: so.SampleSet(data=np.zeros((500, 0))), DimensionMismatch),
+    "non-finite mean": (lambda: so.SecondOrderPair(cov=np.eye(1), pcov=np.zeros((1, 1)),
+                                                   mean=[np.nan]), DomainError),
+    "count 0": (lambda: so.sample_gaussian(scalar_pair(0.5), 0, seed=1), DomainError),
+    "count 2.5": (lambda: so.sample_gaussian(scalar_pair(0.5), 2.5, seed=1), DomainError),
+    **{f"power {s}": (lambda s=s: ip.ChannelSpec(h=np.eye(1), noise=scalar_pair(0.5), power=s),
+                      DomainError) for s in (np.nan, np.inf, -1.0)},
+}
+TABLE = [pytest.param(lambda call=call, a=a: call(a), error, id=f"{name}-{fault}")
+         for name, (call, square) in GATED.items()
+         for fault, (a, error) in FAULTS.items() if square or fault != "non-square"]
+TABLE += [pytest.param(call, error, id=name) for name, (call, error) in OTHER_FAULTS.items()]
+
+
+@pytest.mark.parametrize("call, error", TABLE)
+def test_malformed_input_raises_the_named_error(call, error):
+    # the exact type, so a NaN cannot pass for NotSymmetric or NotPositiveDefinite
+    with pytest.raises(DomainError) as err:
+        call()
+    assert type(err.value) is error, repr(err.value)
 
 
 def test_validate_pair_rejects_empty_matrices():
