@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import second_order, transforms
+from . import linalg, second_order, transforms
 from .entropy import DEFAULT_K, _knn_entropy_points, _knn_guard, knn_entropy
 from .errors import DegenerateConditional, DomainError, InvalidPair, TiedSamples
 
@@ -47,10 +47,11 @@ def circularize(samples: second_order.SampleSet, seed: int) -> second_order.Samp
     the input's covariance (in distribution) and has vanishing complementary
     covariance.
     """
+    seed = linalg._int_at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     psi = rng.random(samples.count)
     data = samples.data * np.exp(2j * np.pi * psi)[:, None]
-    return second_order.SampleSet(data=data, seed=int(seed))
+    return second_order.SampleSet(data=data, seed=seed)
 
 
 def bessel_i0(x) -> np.ndarray | float:

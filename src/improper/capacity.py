@@ -52,7 +52,6 @@ from .errors import (
     AssumptionViolated,
     DimensionMismatch,
     DomainError,
-    InvalidPair,
     NoiseNotCircular,
     PowerExceeded,
 )
@@ -151,32 +150,22 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     sv = np.linalg.svd(spec.h, compute_uv=False)
     h_ok = not linalg._not_positive(sv[-1], sv[0])
     if not h_ok:
-        out.append(Violation(H_SINGULAR, float(sv[-1]), float(linalg.EIG_RTOL * sv[0]),
+        out.append(Violation(H_SINGULAR, float(sv[-1]), linalg._eig_limits(sv[-1], sv[0])[0],
                              "channel matrix numerically singular"))
     mean_mag = float(np.max(np.abs(spec.noise.mean))) if spec.noise.dim else 0.0
     if mean_mag > 0.0:
         out.append(Violation(NOISE_MEAN_NONZERO, mean_mag, 0.0, "noise must be zero-mean"))
     noise = spec.noise.factors
     v = noise.validity
-    if v.reason == second_order.C_SINGULAR:
-        d = noise.d
-        out.append(Violation(NOISE_COV_SINGULAR, float(d[-1]), float(linalg.EIG_RTOL * d[0]),
-                             "noise covariance singular"))
-        return ChannelFactors(tuple(out))
-    if v.reason == second_order.C_NOT_PSD:
-        d = noise.d
-        limit = -linalg.PSD_RTOL * float(np.max(np.abs(d)))
-        out.append(Violation(NOISE_PAIR_INVALID, float(d[-1]), limit, v.reason))
-        return ChannelFactors(tuple(out))
-    if v.reason in (second_order.C_NOT_HERMITIAN, second_order.P_NOT_SYMMETRIC):
-        hermitian = v.reason == second_order.C_NOT_HERMITIAN
-        a = spec.noise.cov if hermitian else spec.noise.pcov
-        out.append(Violation(NOISE_PAIR_INVALID, linalg._asymmetry(a, hermitian),
-                             linalg.SYM_RTOL, v.reason))
+    if v.reason not in (second_order.OK, second_order.SPECTRUM_EXCEEDS_ONE):
+        singular = v.reason == second_order.C_SINGULAR
+        out.append(Violation(NOISE_COV_SINGULAR if singular else NOISE_PAIR_INVALID,
+                             noise.measured, noise.limit,
+                             "noise covariance singular" if singular else v.reason))
         return ChannelFactors(tuple(out))
     # valid pair or SPECTRUM_EXCEEDS_ONE: max_lambda is measured either way
     if linalg._at_one(v.max_lambda):
-        out.append(Violation(SPECTRUM_AT_ONE, float(v.max_lambda), 1.0 - linalg.LAMBDA_TOL,
+        out.append(Violation(SPECTRUM_AT_ONE, float(v.max_lambda), linalg._AT_ONE,
                              "noise circularity coefficient at or beyond 1"))
     if not h_ok:
         return ChannelFactors(tuple(out))
@@ -273,9 +262,7 @@ def mc_mutual_information(
     Deterministic given the seed: two child seeds are derived (input draws,
     then noise draws) via SeedSequence(seed).
     """
-    v = input_pair.factors.validity
-    if not v.valid:
-        raise InvalidPair(v.reason)
+    input_pair.factors.require_valid()
     tr = float(np.trace(input_pair.cov).real)
     if tr > spec.power * (1.0 + linalg.POWER_RTOL):
         raise PowerExceeded(f"trace(C_x) = {tr:.12g} exceeds the budget {spec.power:.12g}")

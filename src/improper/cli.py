@@ -261,12 +261,12 @@ def cmd_analog_sample(args) -> int:
     seed_x, seed_psi = second_order._spawn_seeds(args.seed, 2)
     gauss = second_order.sample_gaussian(pair, count, seed_x)
     rotated = circularize(gauss, seed_psi)
+    emp = second_order.empirical_pair(rotated)  # before writing: a rejected run leaves no file
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "analog_samples.json")
     manifest = make_manifest("analog-sample", _flags_dict(args, ("samples",)),
                              args.seed, __version__)
     write_samples(path, rotated, manifest=manifest)
-    emp = second_order.empirical_pair(rotated)
     print(f"wrote {count} circular-analog samples (n={pair.dim}) to {path}")
     print(f"max |empirical P| after circularizing: {float(np.max(np.abs(emp.pcov))):.2e}")
     return 0

@@ -177,7 +177,7 @@ def _kth_distance(tree, points: np.ndarray, k: int, order: np.ndarray) -> np.nda
 
 def _knn_guard(k, *sample_sets) -> None:
     """k must be an integer >= 1 (DomainError) and each set hold 100 k points (TooFewSamples)."""
-    linalg._positive_int(k, "k")
+    linalg._int_at_least(k, "k")
     if min(samples.count for samples in sample_sets) < 100 * k:
         raise TooFewSamples(f"need at least {100 * k} samples for k={k}")
 

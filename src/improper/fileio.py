@@ -25,6 +25,7 @@ import json
 
 import numpy as np
 
+from . import linalg
 from .second_order import SampleSet
 
 
@@ -121,7 +122,8 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def write_matrix(path: str, a) -> None:
-    a = np.asarray(a, dtype=complex)
+    """Write one complex matrix; rejects what read_matrix would, before opening the file."""
+    a = linalg.as_matrix(a)
     doc = {
         "n": int(a.shape[0]),
         "m": int(a.shape[1]),

@@ -17,7 +17,8 @@ already has.
 Beside it sits the one input gate, which decides what a well-formed input
 is and which error names each fault: as_matrix admits every matrix and
 sample set the package takes (DimensionMismatch for a wrong shape,
-DomainError for a non-finite entry), and _positive_int every count and k.
+DomainError for a non-finite entry), and _int_at_least every count, k and
+seed.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ PSD_RTOL = 1e-10
 # lambda <= 1 is closed and log(1 - lambda^2) diverges at 1: a pair is valid
 # up to 1 + LAMBDA_TOL, and a coefficient from 1 - LAMBDA_TOL up is at 1.
 LAMBDA_TOL = 1e-10
+_AT_ONE = 1.0 - LAMBDA_TOL
 # Singular values closer than this (relative to sigma_1) form one Takagi
 # degeneracy block.
 TAKAGI_GAP_RTOL = 1e-8
@@ -48,24 +50,24 @@ POWER_RTOL = 1e-8
 PROPER_RTOL = 1e-10
 
 
-def as_matrix(a, dtype=complex, square=False, empty=False) -> np.ndarray:
-    """a as a finite 2-D dtype array, non-empty unless empty, square if square.
+def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
+    """a as a finite non-empty 2-D dtype array, square if square.
 
     Raises DimensionMismatch for a wrong shape and DomainError for a non-finite entry.
     """
     a = np.asarray(a, dtype=dtype)
-    if a.ndim != 2 or (a.size == 0 and not empty) or (square and a.shape[0] != a.shape[1]):
-        kind = ("" if empty else "non-empty ") + ("square " if square else "")
-        raise DimensionMismatch(f"expected a {kind}matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.size == 0 or (square and a.shape[0] != a.shape[1]):
+        kind = "square " if square else ""
+        raise DimensionMismatch(f"expected a non-empty {kind}matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
 
 
-def _positive_int(value, name: str) -> int:
-    """value as an int; DomainError unless it is an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+def _int_at_least(value, name: str, low: int = 1) -> int:
+    """value as an int; DomainError unless it is an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
@@ -105,11 +107,8 @@ def underline_map(a) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value (Euclidean operator norm); 0 for an empty matrix."""
-    a = as_matrix(a, empty=True)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Largest singular value (Euclidean operator norm)."""
+    return float(np.linalg.norm(as_matrix(a), 2))
 
 
 def _asymmetry(a: np.ndarray, hermitian: bool) -> float:
@@ -132,19 +131,25 @@ def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
     return _asymmetry(a, hermitian) <= SYM_RTOL
 
 
+def _eig_limits(smallest, largest) -> tuple[float, float]:
+    """(zero, negative): the limits _not_positive and _negative test the smallest against."""
+    scale = max(abs(smallest), abs(largest))
+    return float(EIG_RTOL * scale), float(-PSD_RTOL * scale)
+
+
 def _not_positive(smallest, largest) -> bool:
     """Whether the smallest eigenvalue (or singular value) is zero next to the largest."""
-    return smallest <= EIG_RTOL * max(abs(smallest), abs(largest))
+    return smallest <= _eig_limits(smallest, largest)[0]
 
 
 def _negative(smallest, largest) -> bool:
     """Whether the smallest eigenvalue is negative beyond round-off (not PSD)."""
-    return smallest < -PSD_RTOL * max(abs(smallest), abs(largest))
+    return smallest < _eig_limits(smallest, largest)[1]
 
 
 def _at_one(lam) -> bool:
     """Whether a circularity coefficient is at 1 within LAMBDA_TOL, or beyond."""
-    return lam >= 1.0 - LAMBDA_TOL
+    return lam >= _AT_ONE
 
 
 def hermitian_eig(a):
@@ -178,11 +183,11 @@ def generalized_cholesky(a) -> np.ndarray:
 
 
 def _degeneracy_blocks(sigma, gap):
-    """Split descending sigma into runs of (nearly) equal values."""
+    """Split sorted sigma (either order) into runs of (nearly) equal values."""
     blocks = []
     start = 0
     for i in range(1, len(sigma)):
-        if sigma[i - 1] - sigma[i] > gap:
+        if abs(sigma[i - 1] - sigma[i]) > gap:
             blocks.append(slice(start, i))
             start = i
     blocks.append(slice(start, len(sigma)))
@@ -203,15 +208,12 @@ def _symmetric_unitary_sqrt(w):
     o = ox
     # cluster equal eigenvalues of Re(W) and rotate within each cluster; W is
     # unitary, so they lie in [-1, 1] and the gap is relative to 1
-    start = 0
-    for i in range(1, len(ax) + 1):
-        if i == len(ax) or ax[i] - ax[i - 1] > TAKAGI_GAP_RTOL:
-            if i - start > 1:
-                sub = o[:, start:i]
-                yb = sub.T @ y @ sub
-                _, oy = np.linalg.eigh(0.5 * (yb + yb.T))
-                o[:, start:i] = sub @ oy
-            start = i
+    for blk in _degeneracy_blocks(ax, TAKAGI_GAP_RTOL):
+        if blk.stop - blk.start > 1:
+            sub = o[:, blk]
+            yb = sub.T @ y @ sub
+            _, oy = np.linalg.eigh(0.5 * (yb + yb.T))
+            o[:, blk] = sub @ oy
     phases = np.angle(np.diag(o.T @ w @ o))
     half = np.exp(0.5j * phases)
     return (o * half) @ o.T

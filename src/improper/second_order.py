@@ -70,26 +70,28 @@ class PairValidity:
 class PairFactors:
     """The one factorization of a pair (C, P); built by _factor_pair.
 
+    validity: the admissibility verdict; measured, limit: what the check that
+    decided it measured and tested against (valid: lambda_max, 1 + LAMBDA_TOL).
     d: eigenvalues of C, descending (None when C is not Hermitian).
     b_inv: the whitener B^-1 = diag(1/sqrt(d)) U^H, with B B^H = C.
     m: the coherence matrix B^-1 P B^-T; lambdas: its singular values,
     descending (b_inv, m and lambdas are None unless C is positive definite).
-    validity: the admissibility verdict of the pair.
-    error: (exception type, message) that spectrum() raises when the
-    circularity coefficients are undefined, else None.
     All arrays are read-only.
     """
 
     validity: PairValidity
+    measured: float
+    limit: float
     d: np.ndarray | None = None
     b_inv: np.ndarray | None = None
     m: np.ndarray | None = None
     lambdas: np.ndarray | None = None
-    error: tuple | None = None
 
     def _raise(self):
-        kind, message = self.error
-        raise kind(message)
+        if self.validity.reason == C_NOT_HERMITIAN:
+            raise NotHermitian("matrix is not Hermitian within tolerance")
+        raise SingularCovariance(
+            f"C smallest eigenvalue {self.measured:.3e} below singularity threshold")
 
     def cov_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of C, descending; raises NotHermitian if C is not Hermitian."""
@@ -103,14 +105,18 @@ class PairFactors:
             self._raise()
         return self.lambdas
 
+    def require_valid(self) -> None:
+        """Raise InvalidPair, naming the reason, unless the pair is valid."""
+        if not self.validity.valid:
+            raise InvalidPair(self.validity.reason)
+
     def spectrum_below_one(self) -> np.ndarray:
         """Circularity coefficients of a valid pair whose entropy is finite.
 
         Raises InvalidPair for an invalid pair and SpectrumAtOne when the
         largest coefficient is at 1 within linalg.LAMBDA_TOL.
         """
-        if not self.validity.valid:
-            raise InvalidPair(self.validity.reason)
+        self.require_valid()
         if linalg._at_one(self.validity.max_lambda):
             raise SpectrumAtOne(f"max circularity coefficient {self.validity.max_lambda:.12g}")
         return self.lambdas
@@ -135,28 +141,28 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
     """
     try:
         u, d = linalg.hermitian_eig(c)
-    except NotHermitian as exc:
+    except NotHermitian:
         return PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")),
-                           error=(NotHermitian, str(exc)))
+                           linalg._asymmetry(c, hermitian=True), linalg.SYM_RTOL)
     _read_only(d)
-    if linalg._not_positive(d[-1], d[0]):
-        reason = C_NOT_PSD if linalg._negative(d[-1], d[0]) else C_SINGULAR
-        return PairFactors(
-            PairValidity(False, reason, float("nan")), d=d,
-            error=(SingularCovariance,
-                   f"C smallest eigenvalue {d[-1]:.3e} below singularity threshold"))
+    zero, negative = linalg._eig_limits(d[-1], d[0])
+    if d[-1] <= zero:  # linalg._not_positive, with the limit kept for the record
+        reason, limit = (C_NOT_PSD, negative) if d[-1] < negative else (C_SINGULAR, zero)
+        return PairFactors(PairValidity(False, reason, float("nan")), float(d[-1]), limit, d=d)
     b_inv = (u / np.sqrt(d)).conj().T  # B^-1 = diag(1/sqrt(d)) U^H
     m = b_inv @ p @ b_inv.T
     lambdas = np.linalg.svd(m, compute_uv=False)
     max_lambda = float(lambdas[0])
+    measured, limit = max_lambda, 1.0 + linalg.LAMBDA_TOL
     if not linalg._symmetric_within_tol(p, hermitian=False):
         validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
-    elif max_lambda > 1.0 + linalg.LAMBDA_TOL:
+        measured, limit = linalg._asymmetry(p, hermitian=False), linalg.SYM_RTOL
+    elif max_lambda > limit:
         validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
     else:
         validity = PairValidity(True, OK, max_lambda)
-    return PairFactors(validity, d=d, b_inv=_read_only(b_inv), m=_read_only(m),
-                       lambdas=_read_only(lambdas))
+    return PairFactors(validity, measured, limit, d=d, b_inv=_read_only(b_inv),
+                       m=_read_only(m), lambdas=_read_only(lambdas))
 
 
 @dataclass(frozen=True)
@@ -285,6 +291,7 @@ def validate_pair(c, p) -> PairValidity:
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
     """count independent child seeds of one seed, from SeedSequence(seed)."""
+    seed = linalg._int_at_least(seed, "seed", 0)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)]
 
 
@@ -298,14 +305,13 @@ def sample_gaussian(pair: SecondOrderPair, count: int, seed: int) -> SampleSet:
     lambda = 1 boundary) are clipped to zero, so degenerate pairs sample on
     their forced subspace.
     """
-    count = linalg._positive_int(count, "count")
-    v = pair.factors.validity
-    if not v.valid:
-        raise InvalidPair(v.reason)
+    count = linalg._int_at_least(count, "count")
+    seed = linalg._int_at_least(seed, "seed", 0)
+    pair.factors.require_valid()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, 2 * pair.dim))
     xr = z @ pair._sampling_factor.T + linalg.real_vector(pair.mean)
-    return SampleSet(data=linalg.complex_vector(xr), seed=int(seed))
+    return SampleSet(data=linalg.complex_vector(xr), seed=seed)
 
 
 def empirical_pair(samples: SampleSet) -> SecondOrderPair:

@@ -192,6 +192,15 @@ def test_analog_sample_writes_samples(files, tmp_path, capsys):
     assert doc["manifest"]["seed"] == 9
 
 
+def test_analog_sample_rejected_run_writes_no_file(files, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main(["analog-sample", files["C"], files["P"], "--samples", "1",
+                 "--output", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: TOO_FEW_SAMPLES: ")
+    assert not (out_dir / "analog_samples.json").exists()
+
+
 def test_analog_sample_requires_output(files, capsys):
     assert main(["analog-sample", files["C"], files["P"]]) == 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from improper import fileio, second_order as so
+from improper.errors import DimensionMismatch, DomainError
 
 
 def test_matrix_round_trip(tmp_path):
@@ -44,6 +45,19 @@ def test_read_matrix_rejects_malformed(tmp_path):
         fileio.read_matrix(path)
     with pytest.raises(fileio.ParseError):
         fileio.read_matrix(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("a, error", [
+    (np.ones(2), DimensionMismatch),
+    (np.zeros((0, 0)), DimensionMismatch),
+    (np.array([[1.0, np.nan]]), DomainError),
+], ids=["1-D", "0x0", "nan"])
+def test_write_matrix_rejects_what_read_matrix_would_and_writes_nothing(tmp_path, a, error):
+    path = tmp_path / "m.json"
+    with pytest.raises(error) as err:
+        fileio.write_matrix(path, a)
+    assert type(err.value) is error
+    assert not path.exists()
 
 
 def test_samples_round_trip(tmp_path):

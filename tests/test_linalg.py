@@ -70,7 +70,8 @@ def test_operator_norm_matches_numpy():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     assert linalg.operator_norm(a) == pytest.approx(np.linalg.norm(a, 2))
-    assert linalg.operator_norm(np.zeros((0, 0))) == 0.0
+    with pytest.raises(DimensionMismatch):
+        linalg.operator_norm(np.zeros((0, 0)))
 
 
 def test_hermitian_eig_descending_and_reconstructs():

@@ -58,6 +58,18 @@ FAULTS = {
     "nan": (_with_entry(np.nan), DomainError),
     "inf": (_with_entry(np.inf), DomainError),
 }
+_SAMPLES = so.SampleSet(data=np.ones((500, 1)))
+_PROPER_SPEC = ip.ChannelSpec(h=np.eye(1), noise=so.SecondOrderPair.proper(np.eye(1)), power=10.0)
+# entry point -> call with one seed
+SEEDED = {
+    "sample_gaussian": lambda seed: so.sample_gaussian(scalar_pair(0.5), 10, seed),
+    "circularize": lambda seed: ip.circularize(_SAMPLES, seed),
+    "mc_mutual_information": lambda seed: ip.mc_mutual_information(
+        _PROPER_SPEC, scalar_pair(0.5), 500, seed=seed),
+    "verify_circular_optimality": lambda seed: ip.verify_circular_optimality(
+        _PROPER_SPEC, _SAMPLES, seed=seed),
+    "analog_entropy_gap": lambda seed: ip.analog_entropy_gap(_SAMPLES, seed=seed),
+}
 OTHER_FAULTS = {
     "C/P shapes differ": (lambda: so.SecondOrderPair(cov=np.eye(2), pcov=np.eye(3)),
                           DimensionMismatch),
@@ -72,6 +84,8 @@ OTHER_FAULTS = {
     "count 2.5": (lambda: so.sample_gaussian(scalar_pair(0.5), 2.5, seed=1), DomainError),
     **{f"power {s}": (lambda s=s: ip.ChannelSpec(h=np.eye(1), noise=scalar_pair(0.5), power=s),
                       DomainError) for s in (np.nan, np.inf, -1.0)},
+    **{f"{name} seed {seed}": (lambda call=call, seed=seed: call(seed), DomainError)
+       for name, call in SEEDED.items() for seed in (1.5, -1)},
 }
 TABLE = [pytest.param(lambda call=call, a=a: call(a), error, id=f"{name}-{fault}")
          for name, (call, square) in GATED.items()
