@@ -51,7 +51,7 @@ def circularize(samples: second_order.SampleSet, seed: int) -> second_order.Samp
     rng = np.random.default_rng(seed)
     psi = rng.random(samples.count)
     data = samples.data * np.exp(2j * np.pi * psi)[:, None]
-    return second_order.SampleSet(data=data, seed=seed)
+    return second_order.SampleSet(data=second_order._read_only(data), seed=seed)
 
 
 def bessel_i0(x) -> np.ndarray | float:
@@ -160,11 +160,11 @@ def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) ->
     n = samples.n
     coords = _sheared_coordinates(samples)
     joint_box = np.concatenate([np.zeros(n), np.ones(n)])
-    h_joint, _ = _knn_entropy_points(coords, k, boxsize=joint_box)
+    h_joint = _knn_entropy_points(coords, k, boxsize=joint_box)
     reduced = coords[:, : 2 * n - 1]
     reduced_box = None if n == 1 else np.concatenate([np.zeros(n), np.ones(n - 1)])
     try:
-        h_reduced, _ = _knn_entropy_points(reduced, k, boxsize=reduced_box)
+        h_reduced = _knn_entropy_points(reduced, k, boxsize=reduced_box)
     except TiedSamples as exc:
         raise DegenerateConditional(
             f"reduced representation is degenerate ({exc}); "

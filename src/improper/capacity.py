@@ -245,7 +245,8 @@ def _mi_estimate(spec: ChannelSpec, x: np.ndarray, z: np.ndarray, k: int,
                  seed: int) -> EntropyValue:
     """I(x; y) = h(y) - h(z): kNN h(y) of y = x H^T + z, closed-form h(z)."""
     h_z = complex_gaussian_entropy(spec.noise).value
-    h_y = knn_entropy(second_order.SampleSet(data=x @ spec.h.T + z, seed=int(seed)), k)
+    y = second_order._read_only(x @ spec.h.T + z)
+    h_y = knn_entropy(second_order.SampleSet(data=y, seed=seed), k)
     return EntropyValue(value=h_y.value - h_z, method=KNN_ESTIMATE, stderr=h_y.stderr)
 
 

@@ -32,12 +32,22 @@ knn_kl_divergence is the two-sample nearest-neighbor divergence estimator
 for dimensions 2n <= 10 at sample sizes around 1e5; tolerances in the
 test-suite are frozen there.
 
-The kd-tree query dominates their cost. Each query asks for the k-th
-neighbor distance alone and visits the points along a Z-order (Morton)
-curve through their bounding box, so consecutive queries walk the same
-tree nodes while they are still in cache; the distances are scattered
-back to row order. Every point is answered on its own, so the visiting
-order changes the speed and not a bit of the result.
+The kd-tree query dominates their cost, so each sample set is searched
+once per k. A SampleSet holds a read-only array, and the first estimator
+that needs the k-th neighbor distances of a set within itself builds the
+set's one tree, queries each point once and caches only scalars on the set:
+N, d, the tie count, the Kozachenko-Leonenko value and stderr, and the
+mean log distance. knn_entropy returns that value; knn_kl_divergence is the
+difference of two means, d (mean log nu - mean log rho) + log(M / (N - 1)),
+so it adds only the query of p's points into q's tree; analog_entropy_gap
+reads h(x) through knn_entropy. Keeping the N distances instead would hold
+a large array for the lifetime of the set.
+
+Each query asks for the k-th neighbor distance alone and visits the points
+along a Z-order (Morton) curve through their bounding box, so consecutive
+queries walk the same tree nodes while they are still in cache; the
+distances are scattered back to row order. Every point is answered on its
+own, so the visiting order changes the speed and not a bit of the result.
 
 A k-th neighbor distance of 0 (k or more other points at the very same
 place) has no logarithm: the estimators raise TiedSamples, which counts
@@ -188,25 +198,67 @@ def _check_ties(dist: np.ndarray, what: str) -> None:
         raise TiedSamples(tied, dist.shape[0], what)
 
 
-def _knn_entropy_points(points: np.ndarray, k: int, boxsize=None):
-    """Kozachenko-Leonenko estimate on raw d-dimensional points.
+@dataclass(frozen=True)
+class _SelfSearch:
+    """What the estimators keep of one search of a point set within itself.
 
-    Returns (value, per_point_terms); value = mean(per_point_terms).
-    boxsize follows cKDTree: per-dimension period, 0 = not periodic.
-    Raises TiedSamples when a point's k-th neighbor distance is 0.
+    count, dim: N and the real dimension d; ties: how many points have a
+    k-th neighbor distance rho of 0. Without ties, value and stderr are the
+    Kozachenko-Leonenko estimate and its standard error, and mean_log_rho
+    is the mean of log rho; with ties all three are NaN. Only scalars are
+    kept, not the N distances.
+    """
+
+    count: int
+    dim: int
+    ties: int
+    value: float = float("nan")
+    stderr: float = float("nan")
+    mean_log_rho: float = float("nan")
+
+    def untied(self, what: str) -> "_SelfSearch":
+        """self, or a fresh TiedSamples naming what is 0 when some point tied."""
+        if self.ties:
+            raise TiedSamples(self.ties, self.count, what)
+        return self
+
+
+def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
+    """One tree over the points and one (k+1)-th neighbor query of every row.
+
+    The nearest neighbor of a row is the row itself, so the distance found
+    is to its k-th nearest other row. boxsize follows cKDTree: per-dimension
+    period, 0 = not periodic.
     """
     from scipy.special import digamma
 
     points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
-    tree = _kdtree()(points, boxsize=boxsize)
-    eps = _kth_distance(tree, points, k + 1, _spatial_order(points))
-    _check_ties(eps, f"k-th neighbor distance (k={k})")
-    const = (
-        digamma(n) - digamma(k) + _unit_ball_log_volume(d)
-    )
-    terms = const + d * np.log(eps)
-    return float(terms.mean()), terms
+    rho = _kth_distance(_kdtree()(points, boxsize=boxsize), points, k + 1, _spatial_order(points))
+    ties = int(np.count_nonzero(rho == 0.0))
+    if ties:
+        return _SelfSearch(n, d, ties)
+    log_rho = np.log(rho)
+    terms = digamma(n) - digamma(k) + _unit_ball_log_volume(d) + d * log_rho
+    return _SelfSearch(n, d, 0, float(terms.mean()), float(terms.std(ddof=1) / np.sqrt(n)),
+                       float(log_rho.mean()))
+
+
+def _self_search(samples: second_order.SampleSet, k: int) -> _SelfSearch:
+    """The set's search for k, over its real representation; cached on the set on first use."""
+    found = samples._searches.get(k)
+    if found is None:
+        found = samples._searches[k] = _search_points(linalg.real_vector(samples.data), k)
+    return found
+
+
+def _knn_entropy_points(points: np.ndarray, k: int, boxsize=None) -> float:
+    """Kozachenko-Leonenko estimate on raw d-dimensional points, searched afresh.
+
+    For coordinates no SampleSet holds (divergence_to_analog's sheared
+    ones). Raises TiedSamples when a point's k-th neighbor distance is 0.
+    """
+    return _search_points(points, k, boxsize).untied(f"k-th neighbor distance (k={k})").value
 
 
 def knn_entropy(samples: second_order.SampleSet, k: int = DEFAULT_K) -> EntropyValue:
@@ -215,13 +267,12 @@ def knn_entropy(samples: second_order.SampleSet, k: int = DEFAULT_K) -> EntropyV
     Runs Kozachenko-Leonenko with Euclidean metric on the stacked real
     representation [Re x; Im x]. The stderr is the standard error of the
     mean of the per-point contributions, std(terms, ddof=1) / sqrt(N).
-    Raises TiedSamples when some point has k or more exact duplicates.
+    Reads the set's cached search for k. Raises TiedSamples when some point
+    has k or more exact duplicates.
     """
     _knn_guard(k, samples)
-    points = linalg.real_vector(samples.data)
-    value, terms = _knn_entropy_points(points, k)
-    stderr = float(terms.std(ddof=1) / np.sqrt(terms.shape[0]))
-    return EntropyValue(value=value, method=KNN_ESTIMATE, stderr=stderr)
+    search = _self_search(samples, k).untied(f"k-th neighbor distance (k={k})")
+    return EntropyValue(value=search.value, method=KNN_ESTIMATE, stderr=search.stderr)
 
 
 def knn_kl_divergence(
@@ -233,21 +284,17 @@ def knn_kl_divergence(
 
     For each p-point, compares the k-th neighbor distance within the p-sample
     (self excluded) against the k-th neighbor distance into the q-sample:
-    D-hat = (d/N) sum log(nu_i / rho_i) + log(M / (N - 1)).
+    D-hat = d (mean log nu - mean log rho) + log(M / (N - 1)). mean log rho
+    is read from p's cached search for k; only q's tree is built here.
     Raises TiedSamples when either distance is 0 for some p-point.
     """
     if p_samples.n != q_samples.n:
         raise DimensionMismatch("sample sets must share the dimension")
     _knn_guard(k, p_samples, q_samples)
+    search = _self_search(p_samples, k).untied(f"k-th neighbor distance within p (k={k})")
     x = linalg.real_vector(p_samples.data)
-    y = linalg.real_vector(q_samples.data)
-    n, d = x.shape
-    m = y.shape[0]
-    kdtree = _kdtree()
-    order = _spatial_order(x)
-    rho = _kth_distance(kdtree(x), x, k + 1, order)
-    _check_ties(rho, f"k-th neighbor distance within p (k={k})")
-    nu = _kth_distance(kdtree(y), x, k, order)
+    nu = _kth_distance(_kdtree()(linalg.real_vector(q_samples.data)), x, k, _spatial_order(x))
     _check_ties(nu, f"k-th neighbor distance into q (k={k})")
-    est = d * float(np.mean(np.log(nu) - np.log(rho))) + np.log(m / (n - 1))
+    est = (search.dim * (float(np.log(nu).mean()) - search.mean_log_rho)
+           + np.log(q_samples.count / (search.count - 1)))
     return max(0.0, float(est))

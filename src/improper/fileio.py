@@ -26,7 +26,8 @@ import json
 import numpy as np
 
 from . import linalg
-from .second_order import SampleSet
+from .errors import DomainError
+from .second_order import SampleSet, _read_only
 
 
 class ParseError(ValueError):
@@ -64,11 +65,12 @@ def _as_real_array(doc: dict, path: str, field: str, shape) -> np.ndarray:
     return arr
 
 
-def _positive_ints(doc: dict, path: str, *fields: str) -> tuple:
-    for field in fields:
-        if not isinstance(doc.get(field), int) or doc[field] < 1:
-            raise ParseError(f"{path}: field {field!r} must be a positive integer")
-    return tuple(doc[field] for field in fields)
+def _int_field(doc: dict, path: str, field: str, low: int = 1, default=None) -> int:
+    """doc[field] (default when absent) through linalg's integer gate, else ParseError."""
+    try:
+        return linalg._int_at_least(doc.get(field, default), field, low)
+    except DomainError as exc:
+        raise ParseError(f"{path}: field {exc}") from exc
 
 
 _ROW_BLOCK = 2048  # rows formatted per write by _write_rows
@@ -115,7 +117,7 @@ def _write_json(path: str, doc: dict) -> None:
 def read_matrix(path: str) -> np.ndarray:
     """Read one complex matrix from a matrix file."""
     doc = _load_json(path)
-    shape = _positive_ints(doc, path, "n", "m")
+    shape = (_int_field(doc, path, "n"), _int_field(doc, path, "m"))
     re = _as_real_array(doc, path, "re", shape)
     im = _as_real_array(doc, path, "im", shape)
     return re + 1j * im
@@ -135,21 +137,19 @@ def write_matrix(path: str, a) -> None:
 
 def read_samples(path: str) -> SampleSet:
     doc = _load_json(path)
-    n, count = _positive_ints(doc, path, "n", "count")
+    n, count = _int_field(doc, path, "n"), _int_field(doc, path, "count")
     shape = (count, n)
     re = _as_real_array(doc, path, "re", shape)
     im = _as_real_array(doc, path, "im", shape)
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ParseError(f"{path}: field 'seed' must be an integer")
-    return SampleSet(data=re + 1j * im, seed=seed)
+    seed = _int_field(doc, path, "seed", 0, default=0)
+    return SampleSet(data=_read_only(re + 1j * im), seed=seed)
 
 
 def write_samples(path: str, samples: SampleSet, manifest: dict | None = None) -> None:
     doc = {
         "n": int(samples.n),
         "count": int(samples.count),
-        "seed": int(samples.seed),
+        "seed": samples.seed,
         "re": samples.data.real,
         "im": samples.data.imag,
     }

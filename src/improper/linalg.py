@@ -65,8 +65,8 @@ def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
 
 
 def _int_at_least(value, name: str, low: int = 1) -> int:
-    """value as an int; DomainError unless it is an integer >= low."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """value as an int; DomainError unless it is an integer >= low (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 

@@ -23,7 +23,8 @@ entropy, analog model or capacity solve of that pair reads the same
 factorization. Functions given raw arrays, such as validate_pair(c, p),
 factor them once per call. The validity tests are relative to the scale of
 the matrix they test (the thresholds are linalg's), so rescaling a pair
-does not change its verdict.
+does not change its verdict. A SampleSet likewise holds a read-only array,
+and the kNN estimators search it once per k (entropy).
 """
 
 from __future__ import annotations
@@ -213,15 +214,40 @@ class SecondOrderPair:
         return cls(cov=cov, pcov=np.zeros_like(cov, dtype=complex))
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True when neither a nor any array it views is writeable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 @dataclass(frozen=True)
 class SampleSet:
-    """N complex n-vectors (rows) plus the seed that produced them."""
+    """N complex n-vectors (rows) plus the seed that produced them.
+
+    Holds a read-only array: a writeable input (or a view of one) is copied,
+    so the caller's array stays writeable and unshared, while a read-only
+    one, such as every set this package produces, is held as it is. So the
+    kNN self-search records the estimators cache per k (entropy) cannot go
+    stale.
+    """
 
     data: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "data", linalg.as_matrix(self.data))
+        data = linalg.as_matrix(self.data)
+        if not _frozen(data):
+            data = _read_only(data.copy())
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "seed", linalg._int_at_least(self.seed, "seed", 0))
+
+    @cached_property
+    def _searches(self) -> dict:
+        """k -> the estimators' kNN self-search record (entropy._self_search)."""
+        return {}
 
     @property
     def count(self) -> int:
@@ -311,7 +337,7 @@ def sample_gaussian(pair: SecondOrderPair, count: int, seed: int) -> SampleSet:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, 2 * pair.dim))
     xr = z @ pair._sampling_factor.T + linalg.real_vector(pair.mean)
-    return SampleSet(data=linalg.complex_vector(xr), seed=seed)
+    return SampleSet(data=_read_only(linalg.complex_vector(xr)), seed=seed)
 
 
 def empirical_pair(samples: SampleSet) -> SecondOrderPair:

@@ -140,7 +140,7 @@ ESTIMATORS = {"knn_entropy": entropy.knn_entropy,
               "divergence_to_analog": analog.divergence_to_analog}
 
 
-@pytest.mark.parametrize("k", [0, 1.5])
+@pytest.mark.parametrize("k", [0, 1.5, True])
 @pytest.mark.parametrize("estimator", list(ESTIMATORS))
 def test_estimators_reject_a_k_that_is_not_a_positive_integer(estimator, k):
     x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 500, seed=62)

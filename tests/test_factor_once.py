@@ -1,4 +1,4 @@
-"""Each pair and each channel spec is factored once.
+"""Each pair and each channel spec is factored once, each sample set searched once per k.
 
 The counter wraps numpy.linalg's eigh, eigvalsh, svd and inv, and counts
 norm(., 2) of a matrix as the SVD it is, so a factorization hidden in a
@@ -9,13 +9,14 @@ Jacobian from the eigenvalues of C. The package calls numpy.linalg
 through the module attribute, which is what the wrappers replace.
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import improper as ip
-from improper import fileio
+from improper import entropy, fileio, linalg
 from improper.cli import main
 
 COUNTED = ("eigh", "eigvalsh", "svd", "inv")
@@ -152,6 +153,21 @@ def test_pair_and_spec_hold_read_only_copies():
     assert not solved.input_pair.cov.flags.writeable
     c[0, 0] += 1.0  # the caller's array stays the caller's
     assert pair.cov[0, 0] != c[0, 0]
+    data = np.ones((500, 2), dtype=complex)
+    view = data[:, :1]
+    view.flags.writeable = False  # a read-only view of a writeable array is still copied
+    for given in (data, view):
+        samples = ip.SampleSet(data=given)
+        assert not samples.data.flags.writeable
+        assert not np.shares_memory(samples.data, given)
+    samples = ip.SampleSet(data=data)
+    data[0, 0] = 7.0
+    assert samples.data[0, 0] == 1.0
+    drawn = ip.sample_gaussian(pair, 500, 1)
+    for produced in (drawn, ip.circularize(drawn, 2)):
+        assert not produced.data.flags.writeable
+    # a set the package produced is held as it is, not copied again
+    assert ip.SampleSet(data=drawn.data).data is drawn.data
 
 
 def test_spectrum_error_is_raised_fresh_each_call():
@@ -166,3 +182,73 @@ def test_spectrum_error_is_raised_fresh_each_call():
     with pytest.raises(ip.NotHermitian):
         ip.circularity_spectrum(ip.SecondOrderPair(cov=np.array([[1.0, 1.0], [0.0, 1.0]]),
                                                    pcov=np.zeros((2, 2))))
+
+
+def _sets():
+    x = ip.sample_gaussian(ip.SecondOrderPair(cov=np.eye(1), pcov=np.array([[0.6]])), 1000, 5)
+    y = ip.sample_gaussian(ip.SecondOrderPair.proper(np.eye(1)), 1200, 6)
+    return x, y
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """The point arrays of every kd-tree the estimators build."""
+    real, built = entropy.cKDTree, []
+
+    def counted(data, *args, **kwargs):
+        built.append(np.array(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "cKDTree", counted)
+    return built
+
+
+ESTIMATES = {
+    "knn_entropy": lambda x, y: ip.knn_entropy(x),
+    "knn_kl_divergence": lambda x, y: ip.knn_kl_divergence(x, y),
+    "analog_entropy_gap": lambda x, y: ip.analog_entropy_gap(x, seed=3),
+}
+
+
+@pytest.mark.parametrize("order", itertools.permutations(ESTIMATES), ids="/".join)
+def test_each_sample_set_is_searched_once_per_k(trees, order):
+    x, y = _sets()
+    got = {name: ESTIMATES[name](x, y) for name in order}
+    x_points = linalg.real_vector(x.data)
+    assert sum(np.array_equal(t, x_points) for t in trees) == 1
+    assert len(trees) == 3  # x; y, which only the p-points query; the rotated x
+    ip.knn_entropy(x, k=2)  # another k is another search
+    assert sum(np.array_equal(t, x_points) for t in trees) == 2
+    # the same bits as on fresh sets, whatever ran first
+    fresh = [ip.SampleSet(data=s.data.copy(), seed=s.seed) for s in (x, y)]
+    assert got == {name: call(*fresh) for name, call in ESTIMATES.items()}
+
+
+def test_a_cached_search_gives_the_bits_of_a_fresh_one():
+    from scipy.spatial import cKDTree
+
+    x, y = _sets()
+    first = ip.knn_entropy(x)
+    assert ip.knn_entropy(x) == first == ip.knn_entropy(ip.SampleSet(data=x.data.copy()))
+    # the divergence is a difference of means: d (mean log nu - mean log rho) + log(M / (N - 1))
+    xr, yr = linalg.real_vector(x.data), linalg.real_vector(y.data)
+    rho = cKDTree(xr).query(xr, k=[5])[0][:, 0]
+    nu = cKDTree(yr).query(xr, k=[4])[0][:, 0]
+    elementwise = 2 * np.mean(np.log(nu) - np.log(rho)) + np.log(1200 / 999)
+    assert elementwise > 0.1
+    assert abs(ip.knn_kl_divergence(x, y) - elementwise) <= 1e-13
+
+
+def test_a_tied_search_raises_each_estimators_own_error(trees):
+    x, y = _sets()
+    tied = ip.SampleSet(data=np.repeat(x.data[:200], 5, axis=0))  # k + 1 = 5 copies
+    texts = []
+    for call in (lambda: ip.knn_entropy(tied), lambda: ip.knn_kl_divergence(tied, y),
+                 lambda: ip.knn_entropy(tied)):
+        with pytest.raises(ip.TiedSamples) as err:
+            call()
+        texts.append(str(err.value))
+    assert texts == ["1000 of 1000 points tied: k-th neighbor distance (k=4) is 0",
+                     "1000 of 1000 points tied: k-th neighbor distance within p (k=4) is 0",
+                     texts[0]]
+    assert len(trees) == 1

@@ -138,3 +138,25 @@ def test_samples_round_trip_bit_for_bit(tmp_path):
     back = fileio.read_samples(path)
     assert back.data.tobytes() == x.data.tobytes()
     assert back.seed == 11
+
+
+@pytest.mark.parametrize("field, value, low", [
+    ("seed", -1, 0), ("seed", 1.5, 0), ("seed", True, 0), ("seed", "3", 0),
+    ("n", True, 1), ("count", True, 1),
+])
+def test_read_samples_reads_its_integers_through_the_gate(tmp_path, field, value, low):
+    path = tmp_path / "s.json"
+    doc = {"n": 1, "count": 1, "seed": 0, "re": [[0.5]], "im": [[0.0]]}
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.ParseError, match=f"{field} must be an integer >= {low}"):
+        fileio.read_samples(path)
+
+
+def test_read_samples_holds_a_read_only_array_and_writes_the_seed_it_was_given(tmp_path):
+    path = tmp_path / "s.json"
+    fileio.write_samples(path, so.SampleSet(data=np.ones((2, 1)), seed=np.int64(4)))
+    back = fileio.read_samples(path)
+    assert not back.data.flags.writeable
+    assert back.seed == 4 and type(back.seed) is int
+    assert json.loads(path.read_text())["seed"] == 4

@@ -163,4 +163,4 @@ def test_estimators_build_trees_with_the_module_attribute(monkeypatch):
     b = so.sample_gaussian(pair, 1000, seed=6)
     entropy.knn_entropy(a)
     entropy.knn_kl_divergence(a, b)
-    assert built == [1000, 1000, 1000]
+    assert built == [1000, 1000]  # a is searched once, b only as the q-sample

@@ -62,6 +62,7 @@ _SAMPLES = so.SampleSet(data=np.ones((500, 1)))
 _PROPER_SPEC = ip.ChannelSpec(h=np.eye(1), noise=so.SecondOrderPair.proper(np.eye(1)), power=10.0)
 # entry point -> call with one seed
 SEEDED = {
+    "SampleSet": lambda seed: so.SampleSet(data=np.ones((3, 1)), seed=seed),
     "sample_gaussian": lambda seed: so.sample_gaussian(scalar_pair(0.5), 10, seed),
     "circularize": lambda seed: ip.circularize(_SAMPLES, seed),
     "mc_mutual_information": lambda seed: ip.mc_mutual_information(
@@ -82,10 +83,15 @@ OTHER_FAULTS = {
                                                    mean=[np.nan]), DomainError),
     "count 0": (lambda: so.sample_gaussian(scalar_pair(0.5), 0, seed=1), DomainError),
     "count 2.5": (lambda: so.sample_gaussian(scalar_pair(0.5), 2.5, seed=1), DomainError),
+    # a bool is not an integer count, k or seed, though Python counts it as an int
+    **{f"count {flag}": (lambda flag=flag: so.sample_gaussian(scalar_pair(0.5), flag, seed=1),
+                         DomainError) for flag in (True, False)},
+    **{f"k {flag}": (lambda flag=flag: entropy.knn_entropy(_SAMPLES, k=flag), DomainError)
+       for flag in (True, False)},
     **{f"power {s}": (lambda s=s: ip.ChannelSpec(h=np.eye(1), noise=scalar_pair(0.5), power=s),
                       DomainError) for s in (np.nan, np.inf, -1.0)},
     **{f"{name} seed {seed}": (lambda call=call, seed=seed: call(seed), DomainError)
-       for name, call in SEEDED.items() for seed in (1.5, -1)},
+       for name, call in SEEDED.items() for seed in (1.5, -1, True, False)},
 }
 TABLE = [pytest.param(lambda call=call, a=a: call(a), error, id=f"{name}-{fault}")
          for name, (call, square) in GATED.items()
