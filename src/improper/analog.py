@@ -50,8 +50,7 @@ def circularize(samples: second_order.SampleSet, seed: int) -> second_order.Samp
     seed = linalg._int_at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     psi = rng.random(samples.count)
-    data = samples.data * np.exp(2j * np.pi * psi)[:, None]
-    return second_order.SampleSet(data=second_order._read_only(data), seed=seed)
+    return second_order.SampleSet(data=samples.data * np.exp(2j * np.pi * psi)[:, None], seed=seed)
 
 
 def bessel_i0(x) -> np.ndarray | float:

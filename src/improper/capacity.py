@@ -13,7 +13,7 @@ proper with C_y = L H H^H, and
 with h(z) the noise pair's closed-form entropy (complex_gaussian_entropy).
 
 A ChannelSpec is immutable and solved once, on first use: ChannelSpec.factors
-holds the assumption list and, for an admissible spec, the read-only
+holds the assumption list and, for an admissible spec, the sealed
 CapacityResult. check_assumptions and solve_capacity return what it holds,
 and the other quantities are views of that one solution: capacity_loss, the
 rate forfeited by a transceiver designed as if the noise were proper (always
@@ -69,8 +69,8 @@ HIGH_SNR = "HIGH_SNR"
 class ChannelSpec:
     """Square channel matrix, zero-mean noise pair, average power budget.
 
-    Holds a read-only copy of H; the noise pair is immutable too, so the
-    solve cached in ``factors`` cannot go stale.
+    Holds a sealed copy of H (linalg._sealed); the noise pair is immutable
+    too, so the solve cached in ``factors`` cannot go stale.
     """
 
     h: np.ndarray
@@ -78,13 +78,12 @@ class ChannelSpec:
     power: float
 
     def __post_init__(self):
-        h = np.array(linalg.as_matrix(self.h, square=True))
+        h = linalg.as_matrix(self.h, square=True)
         if h.shape[0] != self.noise.dim:
             raise DimensionMismatch("channel and noise dimensions differ")
         if not np.isfinite(self.power) or self.power < 0:
             raise DomainError(f"power budget must be a non-negative real, got {self.power!r}")
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", linalg._sealed(h))
         object.__setattr__(self, "power", float(self.power))
 
     @property
@@ -109,7 +108,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """The solution of one admissible spec; read-only, shared by every reader."""
+    """The solution of one admissible spec; sealed, shared by every reader."""
 
     capacity_nats: float
     input_pair: second_order.SecondOrderPair
@@ -152,7 +151,7 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     if not h_ok:
         out.append(Violation(H_SINGULAR, float(sv[-1]), linalg._eig_limits(sv[-1], sv[0])[0],
                              "channel matrix numerically singular"))
-    mean_mag = float(np.max(np.abs(spec.noise.mean))) if spec.noise.dim else 0.0
+    mean_mag = float(np.max(np.abs(spec.noise.mean)))
     if mean_mag > 0.0:
         out.append(Violation(NOISE_MEAN_NONZERO, mean_mag, 0.0, "noise must be zero-mean"))
     noise = spec.noise.factors
@@ -245,8 +244,7 @@ def _mi_estimate(spec: ChannelSpec, x: np.ndarray, z: np.ndarray, k: int,
                  seed: int) -> EntropyValue:
     """I(x; y) = h(y) - h(z): kNN h(y) of y = x H^T + z, closed-form h(z)."""
     h_z = complex_gaussian_entropy(spec.noise).value
-    y = second_order._read_only(x @ spec.h.T + z)
-    h_y = knn_entropy(second_order.SampleSet(data=y, seed=seed), k)
+    h_y = knn_entropy(second_order.SampleSet(data=x @ spec.h.T + z, seed=seed), k)
     return EntropyValue(value=h_y.value - h_z, method=KNN_ESTIMATE, stderr=h_y.stderr)
 
 

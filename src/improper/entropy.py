@@ -33,7 +33,7 @@ for dimensions 2n <= 10 at sample sizes around 1e5; tolerances in the
 test-suite are frozen there.
 
 The kd-tree query dominates their cost, so each sample set is searched
-once per k. A SampleSet holds a read-only array, and the first estimator
+once per k. A SampleSet holds a sealed array, and the first estimator
 that needs the k-th neighbor distances of a set within itself builds the
 set's one tree, queries each point once and caches only scalars on the set:
 N, d, the tie count, the Kozachenko-Leonenko value and stderr, and the

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .second_order import SampleSet, _read_only
+from .second_order import SampleSet
 
 
 class ParseError(ValueError):
@@ -142,7 +142,7 @@ def read_samples(path: str) -> SampleSet:
     re = _as_real_array(doc, path, "re", shape)
     im = _as_real_array(doc, path, "im", shape)
     seed = _int_field(doc, path, "seed", 0, default=0)
-    return SampleSet(data=_read_only(re + 1j * im), seed=seed)
+    return SampleSet(data=re + 1j * im, seed=seed)
 
 
 def write_samples(path: str, samples: SampleSet, manifest: dict | None = None) -> None:

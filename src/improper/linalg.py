@@ -18,7 +18,7 @@ Beside it sits the one input gate, which decides what a well-formed input
 is and which error names each fault: as_matrix admits every matrix and
 sample set the package takes (DimensionMismatch for a wrong shape,
 DomainError for a non-finite entry), and _int_at_least every count, k and
-seed.
+seed. _sealed makes the copy every holder keeps and every cache hands out.
 """
 
 from __future__ import annotations
@@ -62,6 +62,16 @@ def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A C-order copy of a whose memory is a bytes object.
+
+    numpy refuses ``flags.writeable = True`` on it and on every view of it,
+    so an array cached on an immutable value cannot be changed behind the
+    cache's back.
+    """
+    return np.ndarray(a.shape, a.dtype, a.tobytes())
 
 
 def _int_at_least(value, name: str, low: int = 1) -> int:

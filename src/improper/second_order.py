@@ -17,14 +17,16 @@ validates, embeds and samples such (C, P) pairs:
 * sample_gaussian / empirical_pair: seeded Gaussian sampling and 1/N moment
   estimation.
 
-A SecondOrderPair holds read-only copies of C and P and factors them on
+A SecondOrderPair holds sealed copies of C, P and the mean
+(linalg._sealed: memory numpy cannot make writeable) and factors them on
 first use (``pair.factors``); every later spectrum, validity verdict,
 entropy, analog model or capacity solve of that pair reads the same
-factorization. Functions given raw arrays, such as validate_pair(c, p),
+factorization, whose arrays are sealed too, so no reader can change what
+the next one reads. Functions given raw arrays, such as validate_pair(c, p),
 factor them once per call. The validity tests are relative to the scale of
 the matrix they test (the thresholds are linalg's), so rescaling a pair
-does not change its verdict. A SampleSet likewise holds a read-only array,
-and the kNN estimators search it once per k (entropy).
+does not change its verdict. A SampleSet likewise holds a sealed copy of
+its array, and the kNN estimators search it once per k (entropy).
 """
 
 from __future__ import annotations
@@ -55,11 +57,6 @@ P_NOT_SYMMETRIC = "P_NOT_SYMMETRIC"
 SPECTRUM_EXCEEDS_ONE = "SPECTRUM_EXCEEDS_ONE"
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class PairValidity:
     valid: bool
@@ -77,7 +74,7 @@ class PairFactors:
     b_inv: the whitener B^-1 = diag(1/sqrt(d)) U^H, with B B^H = C.
     m: the coherence matrix B^-1 P B^-T; lambdas: its singular values,
     descending (b_inv, m and lambdas are None unless C is positive definite).
-    All arrays are read-only.
+    All arrays, the Takagi factors included, are sealed (linalg._sealed).
     """
 
     validity: PairValidity
@@ -127,9 +124,7 @@ class PairFactors:
         """Takagi factorization M = Q diag(sigma) Q^T, computed on first use."""
         self.spectrum()  # raises when C is not positive definite (M undefined)
         fac = linalg.takagi(0.5 * (self.m + self.m.T))
-        _read_only(fac.q)
-        _read_only(fac.sigma)
-        return fac
+        return linalg.TakagiFactorization(q=linalg._sealed(fac.q), sigma=linalg._sealed(fac.sigma))
 
 
 def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
@@ -145,7 +140,7 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
     except NotHermitian:
         return PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")),
                            linalg._asymmetry(c, hermitian=True), linalg.SYM_RTOL)
-    _read_only(d)
+    d = linalg._sealed(d)
     zero, negative = linalg._eig_limits(d[-1], d[0])
     if d[-1] <= zero:  # linalg._not_positive, with the limit kept for the record
         reason, limit = (C_NOT_PSD, negative) if d[-1] < negative else (C_SINGULAR, zero)
@@ -162,16 +157,16 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
         validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
     else:
         validity = PairValidity(True, OK, max_lambda)
-    return PairFactors(validity, measured, limit, d=d, b_inv=_read_only(b_inv),
-                       m=_read_only(m), lambdas=_read_only(lambdas))
+    return PairFactors(validity, measured, limit, d=d, b_inv=linalg._sealed(b_inv),
+                       m=linalg._sealed(m), lambdas=linalg._sealed(lambdas))
 
 
 @dataclass(frozen=True)
 class SecondOrderPair:
     """Mean, covariance and complementary covariance of a complex vector.
 
-    Holds read-only copies of its arrays (the caller's stay writeable and
-    unshared), so the factorization cached in ``factors`` cannot go stale.
+    Holds sealed copies of its arrays (the caller's stay the caller's), so
+    the factorization cached in ``factors`` cannot go stale.
     """
 
     cov: np.ndarray
@@ -179,19 +174,19 @@ class SecondOrderPair:
     mean: np.ndarray = None
 
     def __post_init__(self):
-        cov = np.array(linalg.as_matrix(self.cov, square=True))
-        pcov = np.array(linalg.as_matrix(self.pcov, square=True))
+        cov = linalg.as_matrix(self.cov, square=True)
+        pcov = linalg.as_matrix(self.pcov, square=True)
         if cov.shape != pcov.shape:
             raise DimensionMismatch(f"C and P shapes differ: {cov.shape} / {pcov.shape}")
         if self.mean is None:
             mean = np.zeros(cov.shape[0], dtype=complex)
         else:
-            mean = linalg.as_matrix(np.reshape(self.mean, (1, -1)))[0].copy()
+            mean = linalg.as_matrix(np.reshape(self.mean, (1, -1)))[0]
             if mean.shape[0] != cov.shape[0]:
                 raise DimensionMismatch("mean length must match C")
-        object.__setattr__(self, "cov", _read_only(cov))
-        object.__setattr__(self, "pcov", _read_only(pcov))
-        object.__setattr__(self, "mean", _read_only(mean))
+        object.__setattr__(self, "cov", linalg._sealed(cov))
+        object.__setattr__(self, "pcov", linalg._sealed(pcov))
+        object.__setattr__(self, "mean", linalg._sealed(mean))
 
     @property
     def dim(self) -> int:
@@ -206,7 +201,7 @@ class SecondOrderPair:
     def _sampling_factor(self) -> np.ndarray:
         """The eigenfactor sample_gaussian draws through, computed on first use."""
         eigs, vecs = np.linalg.eigh(real_covariance(self))
-        return _read_only(vecs * np.sqrt(np.clip(eigs, 0.0, None)))
+        return linalg._sealed(vecs * np.sqrt(np.clip(eigs, 0.0, None)))
 
     @classmethod
     def proper(cls, cov) -> "SecondOrderPair":
@@ -214,34 +209,20 @@ class SecondOrderPair:
         return cls(cov=cov, pcov=np.zeros_like(cov, dtype=complex))
 
 
-def _frozen(a: np.ndarray) -> bool:
-    """True when neither a nor any array it views is writeable."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return True
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """N complex n-vectors (rows) plus the seed that produced them.
 
-    Holds a read-only array: a writeable input (or a view of one) is copied,
-    so the caller's array stays writeable and unshared, while a read-only
-    one, such as every set this package produces, is held as it is. So the
-    kNN self-search records the estimators cache per k (entropy) cannot go
-    stale.
+    Holds a sealed copy of its array (the caller's stays the caller's), so
+    the kNN self-search records the estimators cache per k (entropy) cannot
+    go stale.
     """
 
     data: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
-        data = linalg.as_matrix(self.data)
-        if not _frozen(data):
-            data = _read_only(data.copy())
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", linalg._sealed(linalg.as_matrix(self.data)))
         object.__setattr__(self, "seed", linalg._int_at_least(self.seed, "seed", 0))
 
     @cached_property
@@ -335,9 +316,11 @@ def sample_gaussian(pair: SecondOrderPair, count: int, seed: int) -> SampleSet:
     seed = linalg._int_at_least(seed, "seed", 0)
     pair.factors.require_valid()
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, 2 * pair.dim))
-    xr = z @ pair._sampling_factor.T + linalg.real_vector(pair.mean)
-    return SampleSet(data=_read_only(linalg.complex_vector(xr)), seed=seed)
+    xr = rng.standard_normal((count, 2 * pair.dim)) @ pair._sampling_factor.T
+    xr += linalg.real_vector(pair.mean)
+    data = linalg.complex_vector(xr)
+    del xr  # free the float block before the set seals its copy of data
+    return SampleSet(data=data, seed=seed)
 
 
 def empirical_pair(samples: SampleSet) -> SecondOrderPair:

@@ -37,7 +37,6 @@ from .errors import DegenerateConditional
 
 DEFAULT_SAMPLES = 100_000
 N_REF = 100_000
-SUITES = ("algebra", "entropy", "analog", "capacity", "all")
 _LOG_PI_E = float(np.log(np.pi * np.e))
 _K = entropy.DEFAULT_K
 
@@ -469,6 +468,17 @@ def _circular_analog(rng, samples):
     ]
 
 
+@_check("circularized 3-PSK has no odd moments")
+def _circularized_psk(rng, samples):
+    # 3-PSK is not centrally symmetric: only a phase uniform on the whole circle
+    # erases its third moment (half a circle leaves |E y^3| = 2 / (3 pi))
+    psk = np.exp(2j * np.pi / 3 * rng.integers(0, 3, samples))[:, None]
+    rot = analog.circularize(second_order.SampleSet(data=psk), _seed(rng))
+    return [_result("circularized 3-PSK has no odd moments",
+                    "|E y^3| {measured:.4f} (tol {tol:.4f})", abs(np.mean(rot.data[:, 0] ** 3)),
+                    5 / np.sqrt(samples), samples=samples)]
+
+
 @_check("Bessel I0")
 def _bessel_i0(rng, samples):
     theta = np.linspace(0.0, 1.0, 20001)
@@ -701,11 +711,12 @@ SUITE_CHECKS = {
                 "improper Gaussian kNN entropy", "mixture entropy gap", "kNN divergence"),
     "analog": ("circular analog of improper Gaussian", "Bessel I0", "analog Gaussian density",
                "circular Gaussian divergence", "degenerate radius",
-               "improper Gaussian divergence"),
+               "improper Gaussian divergence", "circularized 3-PSK has no odd moments"),
     "capacity": ("worked capacity examples", "random admissible specs",
                  "capacity in power and noise", "scalar power split", "scalar Monte Carlo MI",
                  "circularized BPSK input"),
 }
+SUITES = (*SUITE_CHECKS, "all")
 
 
 def suite_algebra(seed: int, samples: int) -> list[PropertyResult]:

@@ -27,7 +27,8 @@ CRITERIA = {
     8: (("random admissible specs", "Monte Carlo loss gap"), N_MC),
     9: (("circularized BPSK input", "circularized improper inputs"), N_MC),
     10: (("transform round trips", "polar density integral",
-          "circular analog of improper Gaussian"), 100_000),
+          "circular analog of improper Gaussian", "circularized 3-PSK has no odd moments"),
+         100_000),
 }
 
 

@@ -129,6 +129,16 @@ def test_knn_entropy_stderr_does_not_depend_on_row_order():
     assert blocks.stderr == pytest.approx(mixed.stderr, rel=1e-9)
 
 
+def test_knn_entropy_stderr_matches_the_spread_across_seeds():
+    # the reported stderr is the one every 3se allowance in verify rests on:
+    # 30 seeded estimates must scatter as much as it says (the ratio reads
+    # about 1.0-1.2; a stderr five times too wide reads about 0.2)
+    pair = scalar_pair(0.8)
+    est = [entropy.knn_entropy(so.sample_gaussian(pair, 10_000, seed), 4) for seed in range(30)]
+    spread = np.std([e.value for e in est], ddof=1)
+    assert 0.5 <= spread / np.mean([e.stderr for e in est]) <= 2.0
+
+
 def test_knn_entropy_too_few():
     x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 300, seed=64)
     with pytest.raises(TooFewSamples):

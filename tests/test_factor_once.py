@@ -166,8 +166,53 @@ def test_pair_and_spec_hold_read_only_copies():
     drawn = ip.sample_gaussian(pair, 500, 1)
     for produced in (drawn, ip.circularize(drawn, 2)):
         assert not produced.data.flags.writeable
-    # a set the package produced is held as it is, not copied again
-    assert ip.SampleSet(data=drawn.data).data is drawn.data
+
+
+def _chain(a):
+    """a and every array along its .base chain."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
+
+
+def test_held_and_cached_arrays_cannot_be_made_writeable(tmp_path):
+    c, p, h, power = _case(2)
+    pair = ip.SecondOrderPair(cov=c, pcov=p, mean=np.zeros(2))
+    spec = ip.ChannelSpec(h=h, noise=ip.SecondOrderPair(cov=c, pcov=p), power=power)
+    drawn = ip.sample_gaussian(pair, 500, 1)
+    fileio.write_samples(str(tmp_path / "x.json"), drawn)
+    factors, solved = pair.factors, ip.solve_capacity(spec)
+    held = {
+        "pair.cov": pair.cov, "pair.pcov": pair.pcov, "pair.mean": pair.mean, "spec.h": spec.h,
+        "caller's set": ip.SampleSet(data=np.ones((500, 2), dtype=complex)).data,
+        "sample_gaussian": drawn.data, "circularize": ip.circularize(drawn, 2).data,
+        "read_samples": fileio.read_samples(str(tmp_path / "x.json")).data,
+        "factors.d": factors.d, "factors.b_inv": factors.b_inv, "factors.m": factors.m,
+        "factors.lambdas": factors.lambdas, "takagi.q": factors.takagi.q,
+        "takagi.sigma": factors.takagi.sigma, "_sampling_factor": pair._sampling_factor,
+        "spectrum": solved.spectrum, "input_pair.cov": solved.input_pair.cov,
+        "model.lambdas": ip.analog_gaussian_model(pair).lambdas,
+    }
+    for name, array in held.items():
+        for a in _chain(array):
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+    # neither cache can be changed behind its back
+    x = ip.SampleSet(data=drawn.data)
+    first = ip.knn_entropy(x, 1)
+    with pytest.raises(ValueError):
+        x.data.flags.writeable = True
+    with pytest.raises(ValueError):
+        x.data[:] *= 10
+    assert ip.knn_entropy(x, 1) == ip.knn_entropy(ip.SampleSet(data=x.data.copy()), 1) == first
+    h_z = ip.complex_gaussian_entropy(spec.noise).value
+    with pytest.raises(ValueError):
+        solved.spectrum.flags.writeable = True
+    with pytest.raises(ValueError):
+        solved.spectrum[:] = 0.999
+    assert ip.complex_gaussian_entropy(spec.noise).value == h_z
+    assert ip.solve_capacity(spec).spectrum is solved.spectrum
 
 
 def test_spectrum_error_is_raised_fresh_each_call():
