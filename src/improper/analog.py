@@ -80,7 +80,10 @@ class AnalogGaussianModel:
     has identity covariance and diagonal real complementary covariance
     diag(lambdas): W = Q^H B^-1, with the whitener B^-1 = diag(1/sqrt(d)) U^H
     and the Takagi factorization B^-1 P B^-T = Q diag(lambdas) Q^T, both
-    read from the pair's cached factorization.
+    read from the pair's cached factorization. The Takagi factors come from
+    one eigendecomposition of the real embedding of B^-1 P B^-T, so
+    W C W^H = I and W P W^T = diag(lambdas) hold to round-off, also for
+    repeated or nearly repeated lambdas.
     """
 
     pair: second_order.SecondOrderPair

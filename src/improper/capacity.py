@@ -86,6 +86,8 @@ class ChannelSpec:
         object.__setattr__(self, "h", linalg._sealed(h))
         object.__setattr__(self, "power", float(self.power))
 
+    __reduce__ = linalg._rebuilt_from_fields
+
     @property
     def dim(self) -> int:
         return self.h.shape[0]

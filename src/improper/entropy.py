@@ -67,7 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, second_order
-from .errors import DimensionMismatch, NotPositiveDefinite, TiedSamples, TooFewSamples
+from .errors import (DimensionMismatch, NotPositiveDefinite, NotSymmetric, TiedSamples,
+                     TooFewSamples)
 
 CLOSED_FORM = "CLOSED_FORM"
 KNN_ESTIMATE = "KNN_ESTIMATE"
@@ -86,7 +87,7 @@ def real_gaussian_entropy(s) -> EntropyValue:
     """Entropy of a real Gaussian with covariance S: 0.5 log det(2 pi e S)."""
     s = linalg.as_matrix(s, dtype=float, square=True)
     if not linalg._symmetric_within_tol(s, hermitian=False):
-        raise NotPositiveDefinite("covariance must be symmetric")
+        raise NotSymmetric("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
     if linalg._not_positive(eigs[0], eigs[-1]):
         raise NotPositiveDefinite(f"smallest eigenvalue {eigs[0]:.3e} not positive")

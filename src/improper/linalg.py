@@ -1,9 +1,10 @@
 """Dense complex-matrix kernel.
 
 Real embeddings of complex matrices, Hermitian eigendecomposition,
-Takagi factorization of complex symmetric matrices, and the generalized
-Cholesky factor B with B B^H = A. Matrices are plain numpy arrays
-(complex128 / float64); everything here is a pure function.
+Takagi factorization of complex symmetric matrices (one eigendecomposition
+of the real embedding), and the generalized Cholesky factor B with
+B B^H = A. Matrices are plain numpy arrays (complex128 / float64);
+everything here is a pure function.
 
 Expected sizes are covariance-scale (n <= 64); no sparse or blocked code.
 
@@ -18,12 +19,14 @@ Beside it sits the one input gate, which decides what a well-formed input
 is and which error names each fault: as_matrix admits every matrix and
 sample set the package takes (DimensionMismatch for a wrong shape,
 DomainError for a non-finite entry), and _int_at_least every count, k and
-seed. _sealed makes the copy every holder keeps and every cache hands out.
+seed. _sealed makes the copy every holder keeps and every cache hands out,
+and _rebuilt_from_fields makes copies and pickles of a holder go through its
+constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,9 +44,6 @@ PSD_RTOL = 1e-10
 # up to 1 + LAMBDA_TOL, and a coefficient from 1 - LAMBDA_TOL up is at 1.
 LAMBDA_TOL = 1e-10
 _AT_ONE = 1.0 - LAMBDA_TOL
-# Singular values closer than this (relative to sigma_1) form one Takagi
-# degeneracy block.
-TAKAGI_GAP_RTOL = 1e-8
 # An input trace up to POWER_RTOL above the budget S is round-off.
 POWER_RTOL = 1e-8
 # ||P||_2 within PROPER_RTOL ||C||_2 counts as a vanishing P (proper noise).
@@ -72,6 +72,15 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     cache's back.
     """
     return np.ndarray(a.shape, a.dtype, a.tobytes())
+
+
+def _rebuilt_from_fields(holder):
+    """The ``__reduce__`` of every holder of sealed arrays: (its type, its field values).
+
+    copy, deepcopy and pickle then rebuild the holder through its constructor,
+    so the copy seals its own arrays and carries no cache of the original.
+    """
+    return type(holder), tuple(getattr(holder, f.name) for f in fields(holder))
 
 
 def _int_at_least(value, name: str, low: int = 1) -> int:
@@ -192,43 +201,6 @@ def generalized_cholesky(a) -> np.ndarray:
     return u * np.sqrt(d)
 
 
-def _degeneracy_blocks(sigma, gap):
-    """Split sorted sigma (either order) into runs of (nearly) equal values."""
-    blocks = []
-    start = 0
-    for i in range(1, len(sigma)):
-        if abs(sigma[i - 1] - sigma[i]) > gap:
-            blocks.append(slice(start, i))
-            start = i
-    blocks.append(slice(start, len(sigma)))
-    return blocks
-
-
-def _symmetric_unitary_sqrt(w):
-    """Symmetric square root of a symmetric unitary matrix.
-
-    Re(W) and Im(W) are commuting real symmetric matrices, so W = O diag(e^{i t}) O^T
-    for a real orthogonal O. The square root O diag(e^{i t/2}) O^T is again
-    symmetric and unitary. O is found by diagonalizing Re(W), then re-diagonalizing
-    Im(W) inside each repeated-eigenvalue cluster of Re(W).
-    """
-    w = 0.5 * (w + w.T)
-    x, y = w.real.copy(), w.imag.copy()
-    ax, ox = np.linalg.eigh(0.5 * (x + x.T))
-    o = ox
-    # cluster equal eigenvalues of Re(W) and rotate within each cluster; W is
-    # unitary, so they lie in [-1, 1] and the gap is relative to 1
-    for blk in _degeneracy_blocks(ax, TAKAGI_GAP_RTOL):
-        if blk.stop - blk.start > 1:
-            sub = o[:, blk]
-            yb = sub.T @ y @ sub
-            _, oy = np.linalg.eigh(0.5 * (yb + yb.T))
-            o[:, blk] = sub @ oy
-    phases = np.angle(np.diag(o.T @ w @ o))
-    half = np.exp(0.5j * phases)
-    return (o * half) @ o.T
-
-
 @dataclass(frozen=True)
 class TakagiFactorization:
     """Q unitary and sigma >= 0 descending with A = Q diag(sigma) Q^T."""
@@ -243,12 +215,15 @@ class TakagiFactorization:
 def takagi(a) -> TakagiFactorization:
     """Takagi factorization A = Q diag(sigma) Q^T of a complex symmetric matrix.
 
-    sigma are the singular values of A. The construction runs through the SVD
-    A = U diag(sigma) V^H: W = U^H conj(V) is unitary and block-diagonal over
-    the degeneracy blocks of sigma, symmetric on each block with sigma > 0, and
-    Q = U W^{1/2} using the symmetric square root per block. Blocks of (near-)zero
-    singular values contribute nothing to the reconstruction, so their square
-    root is taken as the identity.
+    sigma are the singular values of A. The real embedding
+    underline_map(A) = [[Re A, Im A], [Im A, -Re A]] is symmetric with
+    eigenvalues +/- sigma (Horn & Johnson, Matrix Analysis, 4.4): an
+    eigenvector [x; y] of +sigma_i gives the column q_i = x + i y, since then
+    A conj(q_i) = sigma_i q_i. One eigh of the embedding thus yields the n
+    columns, repeated singular values included. Where +sigma and -sigma meet
+    near 0 the eigenvectors mix the two halves, so the columns pass through
+    one QR: that moves only columns of (near-)zero weight, whose orthonormal
+    completion is arbitrary, and flips the sign of the others.
 
     Raises DimensionMismatch unless A is a non-empty square matrix, and
     NotSymmetric if A is not complex symmetric within tolerance (symmetric,
@@ -259,20 +234,11 @@ def takagi(a) -> TakagiFactorization:
         raise NotSymmetric("matrix is not complex symmetric within tolerance")
     a = 0.5 * (a + a.T)
     n = a.shape[0]
-
-    u, s, vh = np.linalg.svd(a)
-    if s[0] <= 0.0:
-        return TakagiFactorization(q=np.eye(n, dtype=complex), sigma=np.zeros(n))
-
-    w = u.conj().T @ vh.T  # U^H conj(V), with V = vh^H so conj(V) = vh^T
-    sqrt_w = np.zeros_like(w)
-    zero_tol = EIG_RTOL * s[0]
-    for blk in _degeneracy_blocks(s, TAKAGI_GAP_RTOL * s[0]):
-        if s[blk][0] <= zero_tol:
-            sqrt_w[blk, blk] = np.eye(blk.stop - blk.start)
-        elif blk.stop - blk.start == 1:
-            # a 1 x 1 block is a phase e^{it}; its root e^{it/2} needs no eigh
-            sqrt_w[blk, blk] = np.exp(0.5j * np.angle(w[blk, blk]))
-        else:
-            sqrt_w[blk, blk] = _symmetric_unitary_sqrt(w[blk, blk])
-    return TakagiFactorization(q=u @ sqrt_w, sigma=s)
+    emb = np.empty((2 * n, 2 * n))  # underline_map(a), without its second gate
+    emb[:n, :n] = a.real
+    emb[n:, n:] = -a.real
+    emb[:n, n:] = emb[n:, :n] = a.imag
+    vals, vecs = np.linalg.eigh(emb)
+    top = vecs[:, n:][:, ::-1]  # the n largest eigenpairs, descending
+    q = np.linalg.qr(top[:n] + 1j * top[n:])[0]
+    return TakagiFactorization(q=q, sigma=np.maximum(vals[n:][::-1], 0.0))

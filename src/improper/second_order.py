@@ -88,6 +88,9 @@ class PairFactors:
     def _raise(self):
         if self.validity.reason == C_NOT_HERMITIAN:
             raise NotHermitian("matrix is not Hermitian within tolerance")
+        if self.validity.reason == C_NOT_PSD:
+            raise NotPositiveSemidefinite(
+                f"C smallest eigenvalue {self.measured:.3e} below {self.limit:.3e}")
         raise SingularCovariance(
             f"C smallest eigenvalue {self.measured:.3e} below singularity threshold")
 
@@ -121,7 +124,12 @@ class PairFactors:
 
     @cached_property
     def takagi(self) -> linalg.TakagiFactorization:
-        """Takagi factorization M = Q diag(sigma) Q^T, computed on first use."""
+        """Takagi factorization M = Q diag(sigma) Q^T, computed on first use.
+
+        One eigh of M's real embedding (linalg.takagi); sigma equals lambdas
+        to round-off, and Q is unitary to round-off however close the
+        lambdas are.
+        """
         self.spectrum()  # raises when C is not positive definite (M undefined)
         fac = linalg.takagi(0.5 * (self.m + self.m.T))
         return linalg.TakagiFactorization(q=linalg._sealed(fac.q), sigma=linalg._sealed(fac.sigma))
@@ -188,6 +196,8 @@ class SecondOrderPair:
         object.__setattr__(self, "pcov", linalg._sealed(pcov))
         object.__setattr__(self, "mean", linalg._sealed(mean))
 
+    __reduce__ = linalg._rebuilt_from_fields
+
     @property
     def dim(self) -> int:
         return self.cov.shape[0]
@@ -224,6 +234,8 @@ class SampleSet:
     def __post_init__(self):
         object.__setattr__(self, "data", linalg._sealed(linalg.as_matrix(self.data)))
         object.__setattr__(self, "seed", linalg._int_at_least(self.seed, "seed", 0))
+
+    __reduce__ = linalg._rebuilt_from_fields
 
     @cached_property
     def _searches(self) -> dict:
@@ -277,8 +289,9 @@ def circularity_spectrum(pair: SecondOrderPair) -> np.ndarray:
 
     B is any factor with B B^H = C; the spectrum does not depend on which.
     Read from the pair's cached factorization. Raises NotHermitian when C is
-    not Hermitian and SingularCovariance when C is singular (the
-    coefficients are then undefined).
+    not Hermitian, NotPositiveSemidefinite when C has a negative eigenvalue
+    and SingularCovariance when C is singular (the coefficients are then
+    undefined).
     """
     return pair.factors.spectrum().copy()
 

@@ -222,18 +222,28 @@ def _takagi_factorization(rng, samples):
             q = np.linalg.qr(_random_complex(rng, n, n))[0]
             vals = np.sort(rng.random(max(1, (n + 1) // 2)))[::-1]
             a = (q * np.repeat(vals, 2)[:n]) @ q.T
+        elif i % 3 == 1:  # one pair at relative gap 10^u, u in [-9, -7]; zeros past rank
+            n = max(n, 2)
+            q = np.linalg.qr(_random_complex(rng, n, n))[0]
+            vals = np.sort(rng.random(n))[::-1]
+            j = int(rng.integers(0, n - 1))
+            vals[j + 1] = vals[j] * (1.0 - 10.0 ** rng.uniform(-9.0, -7.0))
+            vals[int(rng.integers(j + 2, n + 1)):] = 0.0
+            a = (q * vals) @ q.T
         else:
             g = _random_complex(rng, n, n)
             a = 0.5 * (g + g.T)
         fac = linalg.takagi(a)
         sv = np.linalg.svd(a, compute_uv=False)
         eigs = np.linalg.eigvalsh(linalg.underline_map(a))[::-1]
-        rec = max(rec, _rel_err(fac.reconstruct(), a))
+        rec = max(rec, _rel_err(fac.reconstruct(), a),
+                  float(np.max(np.abs(fac.q.conj().T @ fac.q - np.eye(n)))))
         sig = max(sig, float(np.max(np.abs(fac.sigma - sv)) / max(sv[0], 1e-12)))
         eig = max(eig, float(np.max(np.abs(eigs - np.concatenate([sv, -sv[::-1]])))))
     return [
-        _result("takagi reconstruction", _ERR[:-1] + ", incl. repeated spectra)", rec, 1e-8,
-                samples=100),
+        _result("takagi reconstruction",
+                "max rel err and |Q^H Q - I| {measured:.2e} (tol {tol:.0e}, incl. repeated, "
+                "nearly repeated and rank-deficient spectra)", rec, 1e-12, samples=100),
         _result("takagi sigma = singular values", _ERR, sig, 1e-10, samples=100),
         _result("underline(P) eigenvalues are +/- singular values",
                 "max abs err {measured:.2e} (tol {tol:.0e}, same matrices)", eig, 1e-8,

@@ -8,6 +8,7 @@ from improper.errors import (
     DomainError,
     InvalidPair,
     NotPositiveDefinite,
+    NotSymmetric,
     SpectrumAtOne,
     TiedSamples,
     TooFewSamples,
@@ -31,7 +32,7 @@ def test_real_gaussian_entropy_identity_cov():
 def test_real_gaussian_entropy_rejects():
     with pytest.raises(NotPositiveDefinite):
         entropy.real_gaussian_entropy(np.diag([1.0, 0.0]))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotSymmetric):
         entropy.real_gaussian_entropy(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 

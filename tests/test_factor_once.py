@@ -9,7 +9,9 @@ Jacobian from the eigenvalues of C. The package calls numpy.linalg
 through the module attribute, which is what the wrappers replace.
 """
 
+import copy
 import itertools
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -213,6 +215,28 @@ def test_held_and_cached_arrays_cannot_be_made_writeable(tmp_path):
         solved.spectrum[:] = 0.999
     assert ip.complex_gaussian_entropy(spec.noise).value == h_z
     assert ip.solve_capacity(spec).spectrum is solved.spectrum
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_are_rebuilt_sealed_and_uncached(how):
+    duplicate = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                 "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how]
+    c, p, h, power = _case(2)
+    pair = ip.SecondOrderPair(cov=c, pcov=p)
+    spec = ip.ChannelSpec(h=h, noise=ip.SecondOrderPair(cov=c, pcov=p), power=power)
+    x = ip.sample_gaussian(pair, 500, 1)
+    h_pair, h_x, cap = (ip.complex_gaussian_entropy(pair).value, ip.knn_entropy(x, 1).value,
+                        ip.solve_capacity(spec).capacity_nats)
+    pair2, x2, spec2 = duplicate(pair), duplicate(x), duplicate(spec)
+    for holder, cache in ((pair2, "factors"), (x2, "_searches"), (spec2, "factors")):
+        assert cache not in vars(holder)
+    for held in (pair2.cov, pair2.pcov, pair2.mean, x2.data, spec2.h, spec2.noise.pcov):
+        with pytest.raises(ValueError):
+            held[...] *= 10
+    assert x2.seed == x.seed and spec2.power == spec.power
+    assert ip.complex_gaussian_entropy(pair2).value == h_pair
+    assert ip.knn_entropy(x2, 1).value == h_x
+    assert ip.solve_capacity(spec2).capacity_nats == cap
 
 
 def test_spectrum_error_is_raised_fresh_each_call():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from improper import linalg
+from improper import analog, linalg
 from improper.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite, NotSymmetric
+from improper.second_order import SecondOrderPair
 
 
 def test_real_vector_layout():
@@ -107,15 +108,6 @@ def test_generalized_cholesky_rejects_empty():
         linalg.generalized_cholesky(np.zeros((0, 0)))
 
 
-def test_takagi_one_by_one_root_matches_general_path():
-    # takagi takes the root of a 1 x 1 block as exp(i angle / 2); the general
-    # symmetric-unitary root must give the same bits
-    rng = np.random.default_rng(13)
-    for t in rng.uniform(-np.pi, np.pi, 2000):
-        w = np.array([[np.exp(1j * t)]])
-        assert linalg._symmetric_unitary_sqrt(w)[0, 0] == np.exp(0.5j * np.angle(w[0, 0]))
-
-
 def test_takagi_diagonal_case():
     fac = linalg.takagi(np.diag([2.0, 1.0]).astype(complex))
     np.testing.assert_allclose(fac.sigma, [2.0, 1.0])
@@ -161,12 +153,33 @@ def test_takagi_repeated_singular_values():
         np.testing.assert_allclose(fac.sigma, sig, atol=1e-10)
 
 
+def test_takagi_is_exact_at_nearly_repeated_singular_values():
+    rng = np.random.default_rng(15)
+    for gap in np.repeat(np.logspace(-9, -7, 9), 20):
+        q0 = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        a = (q0 * [1.0, 1.0 - gap]) @ q0.T
+        fac = linalg.takagi(a)
+        assert np.linalg.norm(fac.reconstruct() - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.abs(fac.q.conj().T @ fac.q - np.eye(2)).max() <= 1e-12
+
+
+def test_analog_whitener_diagonalizes_p_at_nearly_equal_lambdas():
+    rng = np.random.default_rng(16)
+    q0 = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    p = (q0 * [0.5, 0.5 - 1e-8]) @ q0.T
+    model = analog.analog_gaussian_model(SecondOrderPair(cov=np.eye(2), pcov=0.5 * (p + p.T)))
+    w = model.whitener
+    assert np.abs(w @ model.pair.pcov @ w.T - np.diag(model.lambdas)).max() <= 1e-12
+    assert np.abs(w @ w.conj().T - np.eye(2)).max() <= 1e-12
+
+
 def test_takagi_rank_deficient():
     rng = np.random.default_rng(14)
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     a = g @ g.T  # symmetric, rank 2
     fac = linalg.takagi(a)
     np.testing.assert_allclose(fac.reconstruct(), a, atol=1e-10)
+    np.testing.assert_allclose(fac.q.conj().T @ fac.q, np.eye(4), atol=1e-12)
     assert np.sum(fac.sigma > 1e-10) == 2
 
 

@@ -1,0 +1,84 @@
+"""Mutant table: each registered check must catch the fault it was written for.
+
+An entry rewrites one exact source line of one library function, runs the
+named registered checks at a fixed seed and sample size, and expects at least
+one of their results to fail; the same checks must pass on the unmutated code.
+The mutant is compiled from ``inspect.getsource`` into a copy of the module's
+globals and swapped in with monkeypatch, so every caller that looks the
+function up in its module runs it, and it is gone after the test.
+
+A check that reads a solve cached on a module-level object (verify._SCALAR,
+verify._IMPROPER_NOISE, and the pairs' factorizations) would not run the
+mutant; the channel mutants are therefore caught by a check that builds fresh
+specs, and no check here caches a mutated result on such an object.
+"""
+
+import __future__
+import inspect
+import textwrap
+from dataclasses import dataclass
+
+import pytest
+
+from improper import analog, capacity, entropy, linalg, verify
+
+
+@dataclass(frozen=True)
+class Mutant:
+    module: object
+    function: str
+    original: str
+    replacement: str
+    checks: tuple
+    seed: int
+    samples: int
+
+
+MUTANTS = {
+    "kl-digamma-k-plus-one": Mutant(
+        entropy, "_search_points",
+        "terms = digamma(n) - digamma(k) + _unit_ball_log_volume(d) + d * log_rho",
+        "terms = digamma(n) - digamma(k + 1) + _unit_ball_log_volume(d) + d * log_rho",
+        ("circular Gaussian kNN entropy",), 1, 20_000),
+    "input-pcov-zero": Mutant(
+        capacity, "_factor_channel",
+        "p_x = -h_inv @ spec.noise.pcov @ h_inv.T",
+        "p_x = 0.0 * h_inv",
+        ("random admissible specs",), 1, 1000),
+    "loss-halved": Mutant(
+        capacity, "capacity_loss",
+        "delta = -0.5 * float(np.sum(np.log1p(-(mus**2)))) + 0.0",
+        "delta = -0.25 * float(np.sum(np.log1p(-(mus**2)))) + 0.0",
+        ("random admissible specs",), 1, 1000),
+    "half-circle-phase": Mutant(
+        analog, "circularize",
+        "psi = rng.random(samples.count)",
+        "psi = 0.5 * rng.random(samples.count)",
+        ("circularized 3-PSK has no odd moments",), 1, 10_000),
+    "takagi-without-qr": Mutant(
+        linalg, "takagi",
+        "q = np.linalg.qr(top[:n] + 1j * top[n:])[0]",
+        "q = top[:n] + 1j * top[n:]",
+        ("takagi factorization",), 1, 1000),
+}
+
+
+def _mutated(m: Mutant):
+    """The function m names, with its one line replaced, bound to the module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(m.module, m.function)))
+    assert source.count(m.original) == 1, f"{m.original!r} is not one line of {m.function}"
+    namespace = dict(vars(m.module))
+    code = compile(source.replace(m.original, m.replacement), inspect.getsourcefile(m.module),
+                   "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    return namespace[m.function]
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_registered_checks_catch_the_mutant(name, monkeypatch):
+    m = MUTANTS[name]
+    clean = verify._run_checks(m.checks, m.seed, m.samples)
+    assert all(r.passed for r in clean), [r.detail for r in clean if not r.passed]
+    monkeypatch.setattr(m.module, m.function, _mutated(m))
+    caught = [r for r in verify._run_checks(m.checks, m.seed, m.samples) if not r.passed]
+    assert caught, f"{name} passed {m.checks}"

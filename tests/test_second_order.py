@@ -8,7 +8,6 @@ from improper.errors import (
     DimensionMismatch,
     DomainError,
     InvalidPair,
-    NotPositiveDefinite,
     NotPositiveSemidefinite,
     NotSymmetric,
     SingularCovariance,
@@ -213,7 +212,7 @@ def test_symmetry_tests_are_scale_free(scale):
         linalg.takagi(a)
     with pytest.raises(NotSymmetric):
         so.pair_from_real_covariance(a)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotSymmetric):
         entropy.real_gaussian_entropy(a)
     sym = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
     np.testing.assert_allclose(linalg.takagi(sym).sigma, [3.0 * scale, scale], rtol=1e-12)
@@ -238,6 +237,11 @@ def test_circularity_spectrum_singular_cov():
     pair = so.SecondOrderPair(cov=np.zeros((1, 1)), pcov=np.zeros((1, 1)))
     with pytest.raises(SingularCovariance):
         so.circularity_spectrum(pair)
+    # a negative eigenvalue is the fault validate_pair names, with its measured value
+    negative = so.SecondOrderPair(cov=-np.eye(2), pcov=np.zeros((2, 2)))
+    assert negative.factors.validity.reason == so.C_NOT_PSD
+    with pytest.raises(NotPositiveSemidefinite, match="-1.000e[+]00 below -1.000e-10"):
+        so.circularity_spectrum(negative)
 
 
 def test_validate_pair_accepts_half_lambda():
