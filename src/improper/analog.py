@@ -31,7 +31,8 @@ import numpy as np
 
 from . import linalg, second_order, transforms
 from .entropy import DEFAULT_K, _knn_entropy_points, _knn_guard, knn_entropy
-from .errors import DegenerateConditional, DomainError, InvalidPair, TiedSamples
+from .errors import (DegenerateConditional, DimensionMismatch, DomainError, InvalidPair,
+                     TiedSamples)
 
 # Threshold for declaring the phase conditional degenerate: the honest
 # estimate is >= 0 up to a few hundredths of a nat of estimator noise, while
@@ -54,20 +55,21 @@ def circularize(samples: second_order.SampleSet, seed: int) -> second_order.Samp
 
 
 def bessel_i0(x) -> np.ndarray | float:
-    """Modified Bessel function I0 for x >= 0: exp(log_bessel_i0(x))."""
+    """Modified Bessel function I0 for finite x >= 0: exp(log_bessel_i0(x))."""
     return np.exp(log_bessel_i0(x))
 
 
 def log_bessel_i0(x) -> np.ndarray | float:
-    """log I0(x) for x >= 0 without overflow (I0 grows like e^x).
+    """log I0(x) for finite x >= 0 without overflow (I0 grows like e^x).
 
     x + log(i0e(x)) with scipy's exponentially scaled I0, loaded on first call.
+    Raises DomainError for a negative or non-finite argument.
     """
     from scipy.special import i0e
 
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("bessel_i0 expects non-negative arguments")
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise DomainError("bessel_i0 expects finite non-negative arguments")
     out = x + np.log(i0e(x))
     return float(out) if out.ndim == 0 else out
 
@@ -105,8 +107,9 @@ def analog_gaussian_model(pair: second_order.SecondOrderPair) -> AnalogGaussianM
 def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | float:
     """log density of the circular analog of the model's Gaussian at x.
 
-    x may be a single complex n-vector or an (..., n) batch. In standardized
-    coordinates y = W x the density is
+    x may be a single complex n-vector or an (..., n) batch; a wrong last
+    axis raises DimensionMismatch and a non-finite entry DomainError. In
+    standardized coordinates y = W x the density is
 
         pi^-n prod(1 - lambda_i^2)^-1/2
         * exp(-sum |y_i|^2 / (1 - lambda_i^2))
@@ -116,15 +119,18 @@ def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | f
     unitary, 2 log|det W| = -sum log d over the eigenvalues d of C, which
     the pair's factorization already holds.
     """
-    x = np.asarray(x, dtype=complex)
-    y = x @ model.whitener.T
     lam = model.lambdas
+    n = lam.size
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-1:] != (n,):
+        raise DimensionMismatch(f"expected points with last axis {n}, got shape {x.shape}")
+    linalg.as_matrix(x.reshape(-1, n))  # DomainError for a non-finite entry
+    y = x @ model.whitener.T
     one_minus = 1.0 - lam**2
     d = lam / one_minus
     quad = np.sum((y.real**2 + y.imag**2) / one_minus, axis=-1)
     bessel_arg = np.abs(np.sum(d * y**2, axis=-1))
     log_det_c = np.sum(np.log(model.pair.factors.cov_eigenvalues()))
-    n = lam.size
     log_norm = -log_det_c - n * np.log(np.pi) - 0.5 * np.sum(np.log(one_minus))
     out = log_norm - quad + log_bessel_i0(bessel_arg)
     if np.ndim(out) == 0:

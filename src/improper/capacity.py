@@ -35,6 +35,7 @@ proper-noise channel.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,10 +82,12 @@ class ChannelSpec:
         h = linalg.as_matrix(self.h, square=True)
         if h.shape[0] != self.noise.dim:
             raise DimensionMismatch("channel and noise dimensions differ")
-        if not np.isfinite(self.power) or self.power < 0:
-            raise DomainError(f"power budget must be a non-negative real, got {self.power!r}")
+        power = self.power  # a real number within float range: a bool or a string is not a budget
+        if (isinstance(power, bool) or not isinstance(power, (int, float, np.integer, np.floating))
+                or not 0 <= power <= sys.float_info.max):
+            raise DomainError(f"power budget must be a non-negative real, got {power!r}")
         object.__setattr__(self, "h", linalg._sealed(h))
-        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "power", float(power))
 
     __reduce__ = linalg._rebuilt_from_fields
 

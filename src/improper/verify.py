@@ -24,6 +24,11 @@ line shows; the detail line is rendered from those fields.
 Statistical tolerances are calibrated at N_REF samples; when a check runs
 with fewer they widen by sqrt(N_REF / N), the CLT rate, so smoke runs at
 small N remain meaningful. Exact identities ignore the sample count.
+
+The Kolmogorov-Smirnov and kurtosis statistics are computed here, on numpy
+and scipy.special (_ks_two_sample, _ks_uniform_distance, _excess_kurtosis),
+in the arithmetic of their scipy.stats counterparts, so no check loads
+scipy.stats.
 """
 
 from __future__ import annotations
@@ -147,6 +152,62 @@ def _divergence_quadrature(lam: float) -> float:
     radial = 2.0 * r / np.sqrt(s2) * np.exp(-(r * r) / s2 + arg) * i0e(arg)
     neg_h_cond = arg * i1e(arg) / i0e(arg) - (np.log(i0e(arg)) + arg)
     return float(np.trapezoid(radial * neg_h_cond, r))
+
+
+def _ks_two_sample(a, b) -> tuple[float, float]:
+    """Distance D and two-sided p-value of scipy.stats.ks_2samp(a, b).
+
+    D is built as scipy builds it (right-continuous ECDFs of the sorted
+    samples over the pooled sample), so it is bit-identical. The p-value
+    follows scipy's method="auto" in the same arithmetic. Equal sizes of at
+    most 10000 take the exact path count. Otherwise, with
+    en = round(m n / (m + n)), p = 0 where en D^2 >= 370 and
+    p = 2 smirnov(en, D) where en D^2 >= 2.2 (Simard & L'Ecuyer 2011): for
+    en > 140 and D < 1/2 that is scipy's value bit for bit, and it covers
+    every p below about 0.025, so the p < 0.01 verdict. Below en D^2 = 2.2
+    the limiting tail kolmogorov(sqrt(en) D) stands in. Unequal sizes of at
+    most 10000, which scipy counts exactly, take the same asymptotic branch.
+    """
+    from scipy.special import kolmogorov, smirnov
+
+    a, b = np.sort(a), np.sort(b)
+    n1, n2 = len(a), len(b)
+    pooled = np.concatenate([a, b])
+    diff = (np.searchsorted(a, pooled, side="right") / n1
+            - np.searchsorted(b, pooled, side="right") / n2)
+    d = float(max(np.clip(-np.min(diff), 0, 1), np.max(diff)))
+    if n1 == n2 <= 10_000:  # scipy's _compute_prob_outside_square, h = round(D n)
+        h = int(np.round(d * n1))
+        if h == 0:
+            return d, 1.0
+        p = 0.0
+        for k in range(n1 // h, -1, -1):
+            term = 1.0
+            for j in range(h):
+                term = (n1 - k * h - j) * term / (n1 + k * h + j + 1)
+            p = term * (1.0 - p)
+        if 2 * p <= 1.0:  # else round-off passed 1, and scipy falls back as below
+            return d, 2 * p
+    en = int(np.round(n1 * n2 / (n1 + n2)))
+    if en * d * d >= 370.0:
+        return d, 0.0
+    if en * d * d >= 2.2:
+        return d, float(min(2 * smirnov(en, d), 1.0))
+    return d, float(kolmogorov(np.sqrt(en) * d))
+
+
+def _ks_uniform_distance(u) -> float:
+    """Kolmogorov-Smirnov distance of u from uniform on [0, 1), as scipy.stats.ks_1samp."""
+    u = np.sort(u)
+    n = len(u)
+    return float(max(np.max(np.arange(1.0, n + 1) / n - u), np.max(u - np.arange(0.0, n) / n)))
+
+
+def _excess_kurtosis(v) -> float:
+    """Biased Fisher excess kurtosis m4 / m2^2 - 3, as scipy.stats.kurtosis(v)."""
+    c = v - np.mean(v)
+    c2 = c * c
+    return float(np.mean(c2 * c2) / np.mean(c2) ** 2.0 - 3)
 
 
 _CHECKS = {}
@@ -328,10 +389,12 @@ def _polar_density_integral(rng, samples):
 
     r = np.linspace(0.0, 8.0, 2001)
     phi = np.linspace(0.0, 1.0, 201)[:-1]  # periodic: drop duplicate endpoint
-    rr, pp = np.meshgrid(r, phi, indexing="ij")
-    vals = transforms.polar_density(gauss, transforms.PolarPoint(r=rr[..., None],
-                                                                 phi=pp[..., None]))
-    integral = float(np.trapezoid(vals.mean(axis=1), r))
+    means = np.empty_like(r)
+    for lo in range(0, r.size, 128):  # row blocks: the whole grid is a 25 MB transient
+        rr, pp = np.meshgrid(r[lo:lo + 128], phi, indexing="ij")
+        means[lo:lo + 128] = transforms.polar_density(
+            gauss, transforms.PolarPoint(r=rr[..., None], phi=pp[..., None])).mean(axis=1)
+    integral = float(np.trapezoid(means, r))
     return [_result("polar density integrates to 1", "integral {integral:.6f} (tol {tol:.0e})",
                     abs(integral - 1.0), 1e-4, integral=integral)]
 
@@ -441,15 +504,13 @@ def _knn_divergence(rng, samples):
 
 @_check("circular analog of improper Gaussian")
 def _circular_analog(rng, samples):
-    from scipy import stats  # the KS and kurtosis tests; loaded only here
-
     x = second_order.sample_gaussian(_IMPROPER, samples, _seed(rng))
     rot = analog.circularize(x, _seed(rng))
     emp = second_order.empirical_pair(rot)
     c_shift = float(np.max(np.abs(emp.cov - second_order.empirical_pair(x).cov)))
     phases = transforms.real_to_polar(rot.data).phi[:, 0]
     half = len(phases) // 2
-    p_vals = [stats.ks_2samp(phases[:half], transforms.mod1(phases[half:] - theta)).pvalue
+    p_vals = [_ks_two_sample(phases[:half], transforms.mod1(phases[half:] - theta))[1]
               for theta in (0.25, 0.5)]
     sheared = transforms.polar_to_sheared(transforms.real_to_polar(rot.data))
     theta_col = sheared.phi[:, -1]
@@ -467,13 +528,13 @@ def _circular_analog(rng, samples):
                 "theta=0.25: p={p_25:.3f}; theta=0.5: p={p_50:.3f}", min(p_vals), 0.01,
                 at_least=True, samples=samples, p_25=p_vals[0], p_50=p_vals[1]),
         _result("common phase uniform on [0,1)", "KS distance {measured:.4f} (tol {tol:.4f})",
-                stats.kstest(theta_col, "uniform").statistic, _scaled(0.01, samples),
+                _ks_uniform_distance(theta_col), _scaled(0.01, samples),
                 samples=samples),
         _result("common phase uncorrelated with radius", "|corr| {measured:.4f} (tol {tol:.4f})",
                 corr, _scaled(0.02, samples), samples=samples),
         _result("analog of improper Gaussian is non-Gaussian",
                 "|excess kurtosis| {measured:.3f} vs 5se = {tol:.3f}",
-                abs(float(stats.kurtosis(rot.data.real[:, 0]))), five_se, at_least=True,
+                abs(_excess_kurtosis(rot.data.real[:, 0])), five_se, at_least=True,
                 samples=samples),
     ]
 

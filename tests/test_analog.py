@@ -3,7 +3,8 @@ import pytest
 from scipy.special import i0e
 
 from improper import analog, entropy, second_order as so, transforms as tf
-from improper.errors import DegenerateConditional, InvalidPair, TiedSamples, TooFewSamples
+from improper.errors import (DegenerateConditional, DimensionMismatch, DomainError, InvalidPair,
+                             TiedSamples, TooFewSamples)
 
 
 def improper_scalar(lam=0.8):
@@ -68,6 +69,13 @@ def test_bessel_i0_scalar_and_array_forms():
         analog.log_bessel_i0(-1.0)
 
 
+def test_bessel_i0_rejects_non_finite_arguments():
+    for x in (np.nan, np.inf, -np.inf, np.array([1.0, np.nan]), np.array([0.5, np.inf])):
+        for fn in (analog.log_bessel_i0, analog.bessel_i0):
+            with pytest.raises(DomainError):
+                fn(x)
+
+
 def test_analog_model_proper_case():
     model = analog.analog_gaussian_model(so.SecondOrderPair.proper(np.eye(1)))
     np.testing.assert_allclose(model.lambdas, [0.0], atol=1e-12)
@@ -126,6 +134,23 @@ def test_analog_density_log_consistency():
         np.exp(analog.analog_gaussian_log_density(model, pts)),
         rtol=1e-12,
     )
+
+
+def test_analog_density_gates_its_points():
+    model = analog.analog_gaussian_model(so.SecondOrderPair(
+        cov=np.eye(2), pcov=np.diag([0.8, 0.3]).astype(complex)))
+    rng = np.random.default_rng(87)
+    batch = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    dens = analog.analog_gaussian_density(model, batch)
+    assert dens.shape == (3, 4)
+    assert analog.analog_gaussian_density(model, batch[1, 2]) == dens[1, 2]
+    for fn in (analog.analog_gaussian_log_density, analog.analog_gaussian_density):
+        for bad in (np.ones(3), np.ones((5, 1)), np.ones((2, 3, 3))):
+            with pytest.raises(DimensionMismatch):
+                fn(model, bad)
+        for bad in ([np.nan, 0.0], [[1.0, 0.0], [np.inf, 1j]]):
+            with pytest.raises(DomainError):
+                fn(model, np.array(bad, dtype=complex))
 
 
 def test_analog_density_no_overflow_far_out():

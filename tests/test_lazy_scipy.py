@@ -1,7 +1,7 @@
 """Modules load only where they are used: scipy only for the kNN
-estimators, the analog density's Bessel function and the verify statistics;
-the package's own submodules only on first use of one of their names, and
-in the CLI only for the command that needs them.
+estimators, the analog density's Bessel function and the verify statistics,
+and never scipy.stats; the package's own submodules only on first use of one
+of their names, and in the CLI only for the command that needs them.
 
 Each check runs in a fresh interpreter, because the test process itself has
 all of them loaded already.
@@ -137,12 +137,23 @@ def test_estimators_and_verify_still_load_scipy(tmp_path):
         assert entropy.cKDTree is scipy.spatial.cKDTree
         import improper.cli
         assert improper.cli.main(["verify", "--suite", "analog"]) == 0
-        assert "scipy.stats" in sys.modules
+        assert "scipy.stats" not in sys.modules
         print(repr(h.value))
         """, cwd=tmp_path)
     x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 2000, seed=3)
     # same estimate in a fresh interpreter as with scipy loaded up front
     assert float(out.strip().splitlines()[-1]) == entropy.knn_entropy(x).value
+
+
+def test_verify_never_loads_scipy_stats(tmp_path):
+    run_python("""
+        import sys
+        import improper.cli
+
+        assert improper.cli.main(["verify", "--suite", "all", "--samples", "2000"]) == 0
+        assert "scipy.special" in sys.modules and "scipy.spatial" in sys.modules
+        assert "scipy.stats" not in sys.modules
+        """, cwd=tmp_path)
 
 
 def test_estimators_build_trees_with_the_module_attribute(monkeypatch):

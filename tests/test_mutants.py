@@ -55,6 +55,11 @@ MUTANTS = {
         "psi = rng.random(samples.count)",
         "psi = 0.5 * rng.random(samples.count)",
         ("circularized 3-PSK has no odd moments",), 1, 10_000),
+    "ks-uniform-distance-unsorted": Mutant(
+        verify, "_ks_uniform_distance",
+        "u = np.sort(u)",
+        "u = np.asarray(u)",
+        ("circular analog of improper Gaussian",), 1, 2000),
     "takagi-without-qr": Mutant(
         linalg, "takagi",
         "q = np.linalg.qr(top[:n] + 1j * top[n:])[0]",

@@ -88,7 +88,9 @@ OTHER_FAULTS = {
     **{f"k {flag}": (lambda flag=flag: entropy.knn_entropy(_SAMPLES, k=flag), DomainError)
        for flag in (True, False)},
     **{f"power {s}": (lambda s=s: ip.ChannelSpec(h=np.eye(1), noise=scalar_pair(0.5), power=s),
-                      DomainError) for s in (np.nan, np.inf, -1.0)},
+                      DomainError) for s in (np.nan, np.inf, -1.0, True, "3")},
+    "power 10**400": (lambda: ip.ChannelSpec(h=np.eye(1), noise=scalar_pair(0.5), power=10**400),
+                      DomainError),
     **{f"{name} seed {seed}": (lambda call=call, seed=seed: call(seed), DomainError)
        for name, call in SEEDED.items() for seed in (1.5, -1, True, False)},
 }
