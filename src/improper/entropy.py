@@ -14,7 +14,10 @@ Given a pair, these read its cached factorization (second_order.PairFactors):
 the eigenvalues of C give log det(pi e C), the validity verdict gates the
 entropy, and the circularity coefficients give the correction, so a pair is
 factored once however many of them are asked for. neeser_massey_bound also
-takes a bare matrix C, which it factors once per call.
+takes a bare matrix C, whose eigendecomposition linalg.hermitian_eig
+memoizes on C's content: a C factored recently, by validate_pair or by a
+pair's factorization, is not factored again. The kNN searches below are
+kept per SampleSet object, not per content.
 
 All values are in nats. The complex closed form always agrees with
 real_gaussian_entropy(real_covariance(pair)): a complex Gaussian is the

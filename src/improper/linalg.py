@@ -22,10 +22,18 @@ DomainError for a non-finite entry), and _int_at_least every count, k and
 seed. _sealed makes the copy every holder keeps and every cache hands out,
 and _rebuilt_from_fields makes copies and pickles of a holder go through its
 constructor.
+
+_memo is the one content-keyed memo: a bounded LRU of sealed results keyed
+by the exact bytes of the matrices they were computed from. hermitian_eig
+takes one, and second_order's pair factorization another, so a matrix
+factored by validate_pair, by SecondOrderPair.factors and by
+neeser_massey_bound is factored once while it stays among the last
+_MEMO_ENTRIES distinct inputs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,6 +56,13 @@ _AT_ONE = 1.0 - LAMBDA_TOL
 POWER_RTOL = 1e-8
 # ||P||_2 within PROPER_RTOL ||C||_2 counts as a vanishing P (proper noise).
 PROPER_RTOL = 1e-10
+
+# Distinct inputs each memo keeps. A closed-form chain reuses a factorization
+# within one or two calls. At n = 64 an entry holds about 0.13 MB
+# (hermitian_eig: the key and U) or 0.3 MB (a pair: the key, the whitener, M,
+# and the Takagi Q once taken).
+_MEMO_ENTRIES = 8
+_MEMOS = []  # every memo's lru_cache, for cache_info and cache_clear
 
 
 def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
@@ -72,6 +87,35 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     cache's back.
     """
     return np.ndarray(a.shape, a.dtype, a.tobytes())
+
+
+def _content(a: np.ndarray) -> tuple:
+    """(dtype, shape, bytes) of a: equal for two arrays exactly when they hold the same bits.
+
+    The bytes of a sealed array are its own; any other array is copied once.
+    """
+    sealed = type(a.base) is bytes and len(a.base) == a.nbytes and a.flags.c_contiguous
+    return a.dtype, a.shape, a.base if sealed else a.tobytes()
+
+
+def _memo(compute):
+    """compute(*arrays), memoized on the arrays' content in an LRU of _MEMO_ENTRIES.
+
+    compute receives sealed arrays with the bits of the given ones, so a hit
+    returns what a fresh call would. Every caller of a content is handed the
+    same value: compute returns only sealed arrays, or holders of them. An
+    exception is never stored, so a repeat raises a fresh one.
+    """
+    @functools.lru_cache(maxsize=_MEMO_ENTRIES)
+    def by_content(*contents):
+        return compute(*(np.ndarray(shape, dtype, data) for dtype, shape, data in contents))
+
+    _MEMOS.append(by_content)
+
+    def memoized(*arrays):
+        return by_content(*map(_content, arrays))
+
+    return memoized
 
 
 def _rebuilt_from_fields(holder):
@@ -130,19 +174,26 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a), 2))
 
 
-def _asymmetry(a: np.ndarray, hermitian: bool) -> float:
-    """||A - A'|| / ||A|| (Frobenius), A' = A^H or A^T; 0 for A = 0.
+def _asymmetry(a: np.ndarray, hermitian: bool, beside: np.ndarray | None = None) -> float:
+    """||A - A'|| / max(||A||, ||S||) (Frobenius), A' = A^H or A^T; 0 for A = 0.
 
-    A is divided by its largest absolute entry first, so neither norm
-    overflows or underflows and the value does not depend on A's scale
+    S is the matrix that sets A's scale, A itself unless ``beside`` is given.
+    Both are divided by the largest absolute entry of either first, so no
+    norm overflows and the value does not depend on a joint rescaling
     (vdot(x, x) = ||x||^2).
     """
     peak = np.abs(a).max()
     if peak == 0.0:
         return 0.0
+    if beside is not None:
+        peak = max(peak, np.abs(beside).max())
     a = a / peak
+    norm2 = np.vdot(a, a).real
+    if beside is not None:
+        s = beside / peak
+        norm2 = max(norm2, np.vdot(s, s).real)
     diff = a - (a.conj().T if hermitian else a.T)
-    return float(np.vdot(diff, diff).real / np.vdot(a, a).real) ** 0.5
+    return float(np.vdot(diff, diff).real / norm2) ** 0.5
 
 
 def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
@@ -176,14 +227,20 @@ def hermitian_eig(a):
 
     d is real, sorted descending. Raises DimensionMismatch unless the input is
     a non-empty square matrix, and NotHermitian if it is not Hermitian within
-    tolerance relative to its own norm.
+    tolerance relative to its own norm. U and d are sealed (read-only): a
+    matrix whose content was factored recently returns the same two arrays
+    (_memo), with the bits a fresh factorization would give.
     """
-    a = as_matrix(a, square=True)
+    return _hermitian_eig(as_matrix(a, square=True))
+
+
+@_memo
+def _hermitian_eig(a):
     if not _symmetric_within_tol(a, hermitian=True):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     d, u = np.linalg.eigh(0.5 * (a + a.conj().T))
     idx = np.argsort(d)[::-1]
-    return u[:, idx], d[idx]
+    return _sealed(u[:, idx]), _sealed(d[idx])
 
 
 def generalized_cholesky(a) -> np.ndarray:

@@ -22,11 +22,15 @@ A SecondOrderPair holds sealed copies of C, P and the mean
 first use (``pair.factors``); every later spectrum, validity verdict,
 entropy, analog model or capacity solve of that pair reads the same
 factorization, whose arrays are sealed too, so no reader can change what
-the next one reads. Functions given raw arrays, such as validate_pair(c, p),
-factor them once per call. The validity tests are relative to the scale of
-the matrix they test (the thresholds are linalg's), so rescaling a pair
-does not change its verdict. A SampleSet likewise holds a sealed copy of
-its array, and the kNN estimators search it once per k (entropy).
+the next one reads. The factorization is also memoized on the content of
+(C, P) (linalg._memo, the last linalg._MEMO_ENTRIES distinct pairs), and
+the eigendecomposition of C on C's content (linalg.hermitian_eig): so
+validate_pair(c, p), SecondOrderPair(c, p) and neeser_massey_bound(c) on
+the same arrays take one eigendecomposition of C and one SVD of M between
+them. The validity tests are relative to the scale of the pair (the
+thresholds are linalg's), so rescaling a pair does not change its verdict.
+A SampleSet likewise holds a sealed copy of its array, and the kNN
+estimators search it once per k per set object (entropy).
 """
 
 from __future__ import annotations
@@ -141,14 +145,15 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
     Checks that C is Hermitian, takes one eigendecomposition of C, forms
     B^-1 and M = B^-1 P B^-T, and takes one values-only SVD of M. The
     verdict is that of validate_pair: the first failed check names the
-    reason. Each test is relative to the scale of the matrix it tests.
+    reason. Each test on C is relative to C's scale; P's asymmetry is
+    measured against max(||P||, ||C||), the pair's scale, so a P that
+    cancels to round-off next to C is symmetric.
     """
     try:
         u, d = linalg.hermitian_eig(c)
     except NotHermitian:
         return PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")),
                            linalg._asymmetry(c, hermitian=True), linalg.SYM_RTOL)
-    d = linalg._sealed(d)
     zero, negative = linalg._eig_limits(d[-1], d[0])
     if d[-1] <= zero:  # linalg._not_positive, with the limit kept for the record
         reason, limit = (C_NOT_PSD, negative) if d[-1] < negative else (C_SINGULAR, zero)
@@ -158,15 +163,20 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
     lambdas = np.linalg.svd(m, compute_uv=False)
     max_lambda = float(lambdas[0])
     measured, limit = max_lambda, 1.0 + linalg.LAMBDA_TOL
-    if not linalg._symmetric_within_tol(p, hermitian=False):
+    asymmetry = linalg._asymmetry(p, hermitian=False, beside=c)
+    if asymmetry > linalg.SYM_RTOL:
         validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
-        measured, limit = linalg._asymmetry(p, hermitian=False), linalg.SYM_RTOL
+        measured, limit = asymmetry, linalg.SYM_RTOL
     elif max_lambda > limit:
         validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
     else:
         validity = PairValidity(True, OK, max_lambda)
     return PairFactors(validity, measured, limit, d=d, b_inv=linalg._sealed(b_inv),
                        m=linalg._sealed(m), lambdas=linalg._sealed(lambdas))
+
+
+# Looks _factor_pair up on each miss, so the module's current one runs.
+_factored_pair = linalg._memo(lambda c, p: _factor_pair(c, p))
 
 
 @dataclass(frozen=True)
@@ -204,8 +214,12 @@ class SecondOrderPair:
 
     @cached_property
     def factors(self) -> PairFactors:
-        """The pair's factorization, computed on first use."""
-        return _factor_pair(self.cov, self.pcov)
+        """The pair's factorization, computed on first use.
+
+        Memoized on the content of (cov, pcov): a pair with the bits of one
+        factored recently shares its PairFactors.
+        """
+        return _factored_pair(self.cov, self.pcov)
 
     @cached_property
     def _sampling_factor(self) -> np.ndarray:

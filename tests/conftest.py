@@ -3,13 +3,26 @@
 The acceptance tests register one line per criterion here; the summary hook
 prints them at the end of the run so every criterion shows a visible
 PASS/FAIL verdict with its measured numbers.
+
+Every test starts with empty factorization memos (linalg._memo), so no
+factorization count and no mutant depends on which tests ran before it.
 """
+
+import pytest
+
+from improper import linalg
 
 _CRITERIA = {}
 
 # Rescalings over which every verdict must hold (the thresholds are relative).
 SCALES = [1e-200, 1e-160, 1e-150, 1e-100, 1e-30, 1e-12,
           1e12, 1e30, 1e100, 1e150, 1e160, 1e200]
+
+
+@pytest.fixture(autouse=True)
+def _empty_memos():
+    for memo in linalg._MEMOS:
+        memo.cache_clear()
 
 
 def record_criterion(num, passed, detail):

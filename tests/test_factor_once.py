@@ -1,4 +1,5 @@
-"""Each pair and each channel spec is factored once, each sample set searched once per k.
+"""Each distinct matrix and pair is factored once, each channel spec solved once, each
+sample set searched once per k.
 
 The counter wraps numpy.linalg's eigh, eigvalsh, svd and inv, and counts
 norm(., 2) of a matrix as the SVD it is, so a factorization hidden in a
@@ -68,7 +69,7 @@ def _case(n, seed=3):
     return c, p, h, float(power)
 
 
-def test_closed_form_chain_factors_at_most_ten_times(factorizations):
+def test_closed_form_chain_factors_at_most_seven_times(factorizations):
     c, p, h, power = _case(2)
     factorizations.clear()
     assert ip.validate_pair(c, p).valid
@@ -80,7 +81,69 @@ def test_closed_form_chain_factors_at_most_ten_times(factorizations):
     spec = ip.ChannelSpec(h=h, noise=pair, power=power)
     ip.solve_capacity(spec)
     ip.capacity_loss(spec)
-    assert _factored(factorizations) <= 10, dict(factorizations)
+    # C eigh, coherence SVD, Takagi eigh, SVD of H, inv(H), ||H^-1 C H^-H||_2, SVD of P_x
+    assert _factored(factorizations) <= 7, dict(factorizations)
+
+
+def test_one_content_is_factored_once_across_entry_points(factorizations):
+    c, p, _, _ = _case(3)
+    factorizations.clear()
+    assert ip.validate_pair(c, p).valid
+    pair = ip.SecondOrderPair(cov=c, pcov=p)
+    ip.complex_gaussian_entropy(pair)
+    ip.neeser_massey_bound(c)
+    linalg.generalized_cholesky(c.copy())  # another array, the same bits
+    assert dict(factorizations) == {"eigh": 1, "svd": 1}
+    assert ip.SecondOrderPair(cov=c, pcov=p).factors is pair.factors
+    ip.neeser_massey_bound(c + 1e-3 * np.eye(3))  # other bits: factored anew
+    assert factorizations["eigh"] == 2
+
+
+def test_a_memo_hit_hands_out_sealed_arrays_with_fresh_bits():
+    c, p, _, _ = _case(4)
+    fresh_pair = ip.SecondOrderPair(cov=c, pcov=p).factors
+    fresh_eig = linalg.hermitian_eig(c)
+    hits = [memo.cache_info().hits for memo in linalg._MEMOS]
+    again_eig = linalg.hermitian_eig(c.copy())
+    again_pair = ip.SecondOrderPair(cov=c.copy(), pcov=p.copy()).factors
+    assert [memo.cache_info().hits for memo in linalg._MEMOS] == [h + 1 for h in hits]
+    for memo in linalg._MEMOS:
+        memo.cache_clear()
+    recomputed_eig = linalg.hermitian_eig(c)
+    recomputed_pair = ip.SecondOrderPair(cov=c, pcov=p).factors
+    assert recomputed_pair is not fresh_pair
+    for hit, new in ((again_eig, recomputed_eig),
+                     ((again_pair.d, again_pair.b_inv, again_pair.m, again_pair.lambdas),
+                      (recomputed_pair.d, recomputed_pair.b_inv, recomputed_pair.m,
+                       recomputed_pair.lambdas))):
+        for a, b in zip(hit, new):
+            assert a.tobytes() == b.tobytes()
+            for link in _chain(a):
+                with pytest.raises(ValueError):
+                    link.flags.writeable = True
+    assert again_eig[0] is fresh_eig[0] and again_pair is fresh_pair
+    d, u = np.linalg.eigh(0.5 * (c + c.conj().T))  # unmemoized, on the caller's array
+    order = np.argsort(d)[::-1]
+    assert again_eig[0].tobytes() == u[:, order].tobytes()
+    assert again_eig[1].tobytes() == d[order].tobytes()
+
+
+def test_the_memos_hold_at_most_their_bound():
+    not_hermitian = np.array([[1.0, 1.0], [0.0, 1.0]])
+    raised = []
+    for _ in range(2):  # an exception is never stored: each call raises its own
+        with pytest.raises(ip.NotHermitian) as err:
+            linalg.hermitian_eig(not_hermitian)
+        raised.append(err.value)
+    assert raised[0] is not raised[1]
+    assert all(memo.cache_info().currsize == 0 for memo in linalg._MEMOS)
+    for i in range(3 * linalg._MEMO_ENTRIES):
+        c = np.eye(2) + 0.1 * i * np.ones((2, 2))
+        linalg.hermitian_eig(c)
+        ip.validate_pair(c, np.zeros((2, 2)))
+        for memo in linalg._MEMOS:
+            assert memo.cache_info().currsize <= linalg._MEMO_ENTRIES
+    assert all(memo.cache_info().currsize == linalg._MEMO_ENTRIES for memo in linalg._MEMOS)
 
 
 @pytest.mark.parametrize("call", ["circularity_spectrum", "complex_gaussian_entropy",

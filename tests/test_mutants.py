@@ -2,7 +2,8 @@
 
 An entry rewrites one exact source line of one library function, runs the
 named registered checks at a fixed seed and sample size, and expects at least
-one of their results to fail; the same checks must pass on the unmutated code.
+one of their results to fail (the result line named in ``line``, where one
+is named); the same checks must pass on the unmutated code.
 The mutant is compiled from ``inspect.getsource`` into a copy of the module's
 globals and swapped in with monkeypatch, so every caller that looks the
 function up in its module runs it, and it is gone after the test.
@@ -10,7 +11,10 @@ function up in its module runs it, and it is gone after the test.
 A check that reads a solve cached on a module-level object (verify._SCALAR,
 verify._IMPROPER_NOISE, and the pairs' factorizations) would not run the
 mutant; the channel mutants are therefore caught by a check that builds fresh
-specs, and no check here caches a mutated result on such an object.
+specs, and no check here caches a mutated result on such an object. The
+factorization memos (linalg._memo) would likewise hand the mutated run the
+clean run's factorization of the same seeded matrices, so they are emptied
+between the two runs.
 """
 
 import __future__
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from improper import analog, capacity, entropy, linalg, verify
+from improper import analog, capacity, entropy, linalg, second_order, verify
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,7 @@ class Mutant:
     checks: tuple
     seed: int
     samples: int
+    line: str | None = None
 
 
 MUTANTS = {
@@ -60,6 +65,17 @@ MUTANTS = {
         "u = np.sort(u)",
         "u = np.asarray(u)",
         ("circular analog of improper Gaussian",), 1, 2000),
+    "analog-phase-short-of-a-turn": Mutant(
+        analog, "circularize",
+        "psi = rng.random(samples.count)",
+        "psi = 0.97 * rng.random(samples.count)",
+        ("circular analog of improper Gaussian",), 1, 100_000,
+        "circularize erases complementary covariance"),
+    "coherence-svd-of-p": Mutant(
+        second_order, "_factor_pair",
+        "lambdas = np.linalg.svd(m, compute_uv=False)",
+        "lambdas = np.linalg.svd(p, compute_uv=False)",
+        ("real covariance identities",), 1, 1000),
     "takagi-without-qr": Mutant(
         linalg, "takagi",
         "q = np.linalg.qr(top[:n] + 1j * top[n:])[0]",
@@ -84,6 +100,10 @@ def test_registered_checks_catch_the_mutant(name, monkeypatch):
     m = MUTANTS[name]
     clean = verify._run_checks(m.checks, m.seed, m.samples)
     assert all(r.passed for r in clean), [r.detail for r in clean if not r.passed]
+    for memo in linalg._MEMOS:
+        memo.cache_clear()
     monkeypatch.setattr(m.module, m.function, _mutated(m))
     caught = [r for r in verify._run_checks(m.checks, m.seed, m.samples) if not r.passed]
     assert caught, f"{name} passed {m.checks}"
+    if m.line is not None:
+        assert m.line in [r.name for r in caught], f"{name} passed {m.line!r}"

@@ -3,7 +3,7 @@ import pytest
 
 import improper as ip
 from conftest import SCALES
-from improper import entropy, linalg, second_order as so
+from improper import capacity, entropy, linalg, second_order as so, verify
 from improper.errors import (
     DimensionMismatch,
     DomainError,
@@ -189,6 +189,7 @@ def _scaled_cases():
         (np.diag([1.0, 0.5, -0.5]), np.zeros((3, 3)), so.C_NOT_PSD),
         (np.diag([1.0, 0.5, 0.0]), np.zeros((3, 3)), so.C_SINGULAR),
         (c, p + 0.1 * np.triu(np.ones((3, 3)), 1), so.P_NOT_SYMMETRIC),
+        (c, 1e-15 * np.triu(np.ones((3, 3))), so.OK),  # round-off next to C
     ]
 
 
@@ -267,6 +268,27 @@ def test_validate_pair_failure_reasons():
     assert so.validate_pair(np.diag([1.0, 0.0]), np.zeros((2, 2))).reason == so.C_SINGULAR
     assert so.validate_pair(np.eye(2),
                             np.array([[0.0, 0.3], [-0.3, 0.0]])).reason == so.P_NOT_SYMMETRIC
+
+
+def test_p_symmetry_is_judged_against_the_pair_scale():
+    # an asymmetry far below ||C|| is round-off, however large it is next to ||P||
+    assert so.validate_pair(np.eye(2), 1e-15 * np.array([[0.0, 1.0], [0.0, 0.0]])).valid
+    # the channel output at the solved input: P_y = H P_x H^T + P_z cancels to round-off
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        spec = verify._random_spec(rng, int(rng.integers(1, 7)))
+        x = capacity.solve_capacity(spec).input_pair
+        h = spec.h
+        v = so.validate_pair(h @ x.cov @ h.conj().T + spec.noise.cov,
+                             h @ x.pcov @ h.T + spec.noise.pcov)
+        assert v.valid, v
+    # a generic non-symmetric P at the scale of C is still rejected, its ratio recorded
+    g = np.random.default_rng(3).standard_normal((3, 3))
+    c, p = 2.0 * np.eye(3), g + 1j * g.T
+    factors = so.SecondOrderPair(cov=c, pcov=p).factors
+    assert factors.validity.reason == so.P_NOT_SYMMETRIC
+    assert factors.measured == linalg._asymmetry(p, hermitian=False, beside=c) > 0.1
+    assert factors.limit == linalg.SYM_RTOL
 
 
 def test_validate_pair_boundary_lambda():
