@@ -33,7 +33,7 @@ _EXPORTS = {
         "Violation",
         "capacity_loss",
         "check_assumptions",
-        "mc_mutual_information",
+        "gaussian_mutual_information",
         "scalar_powers",
         "solve_capacity",
         "verify_circular_optimality",

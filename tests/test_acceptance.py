@@ -2,7 +2,7 @@
 
 Each criterion is a row of CRITERIA: the names of the `improper.verify`
 registry checks it runs, at seed 100N, and its sample size (2e5 draws with
-kNN at k = 4; 1e5 for criterion 10's phase KS test). The checks are the ones
+kNN at k = 4; 1e5 for criterion 10). The checks are the ones
 `improper verify` runs, so `improper verify --suite S --seed 100N --samples
 <size>` prints the same numbers for every check a criterion shares with a
 suite. Each criterion records a visible PASS/FAIL line with the detail of
@@ -24,7 +24,7 @@ CRITERIA = {
     5: (("improper Gaussian kNN entropy",), N_MC),
     6: (("improper Gaussian divergence", "circular competitor divergence"), N_MC),
     7: (("worked capacity examples", "random admissible specs"), N_MC),
-    8: (("random admissible specs", "Monte Carlo loss gap"), N_MC),
+    8: (("random admissible specs",), N_MC),
     9: (("circularized BPSK input", "circularized improper inputs"), N_MC),
     10: (("transform round trips", "polar density integral",
           "circular analog of improper Gaussian", "circularized 3-PSK has no odd moments"),

@@ -237,27 +237,25 @@ def test_scalar_powers_raises_exactly_where_check_assumptions_flags():
                 assert raised == flagged, (c_z, p_z, power)
 
 
-def test_mc_mutual_information_scalar():
+def test_gaussian_mutual_information_scalar():
     spec = scalar_spec()
     res = cap.solve_capacity(spec)
-    mi = cap.mc_mutual_information(spec, res.input_pair, 20_000, seed=111)
-    assert mi.value == pytest.approx(np.log(3.0), abs=0.06)
-    assert mi.stderr is not None
-    again = cap.mc_mutual_information(spec, res.input_pair, 20_000, seed=111)
-    assert again.value == mi.value
+    mi = cap.gaussian_mutual_information(spec, res.input_pair)
+    assert mi.value == pytest.approx(np.log(3.0), abs=1e-12)
+    assert (mi.method, mi.stderr) == (entropy.CLOSED_FORM, None)
 
 
-def test_mc_mutual_information_guards():
+def test_gaussian_mutual_information_guards():
     spec = scalar_spec()
     rich = so.SecondOrderPair.proper(5.0 * np.eye(1))
     with pytest.raises(PowerExceeded):
-        cap.mc_mutual_information(spec, rich, 1000, seed=1)
+        cap.gaussian_mutual_information(spec, rich)
     with pytest.raises(InvalidPair):
-        cap.mc_mutual_information(
-            spec, so.SecondOrderPair(cov=np.eye(1), pcov=np.array([[2.0]])), 1000, seed=1)
+        cap.gaussian_mutual_information(
+            spec, so.SecondOrderPair(cov=np.eye(1), pcov=np.array([[2.0]])))
 
 
-def test_mc_mutual_information_accepts_solved_input_at_large_budgets():
+def test_gaussian_mutual_information_equals_capacity_at_large_budgets():
     # the solved input's trace meets the budget up to round-off relative to S
     beyond_absolute_slack = 0
     for seed in range(8):
@@ -265,10 +263,10 @@ def test_mc_mutual_information_accepts_solved_input_at_large_budgets():
         spec = verify._random_spec(rng, int(rng.integers(2, 7)))
         for factor in (1e6, 1e9, 1e12):
             big = cap.ChannelSpec(h=spec.h, noise=spec.noise, power=spec.power * factor)
-            x_pair = cap.solve_capacity(big).input_pair
-            beyond_absolute_slack += np.trace(x_pair.cov).real > big.power + 1e-8
-            mi = cap.mc_mutual_information(big, x_pair, 400, seed=seed)
-            assert np.isfinite(mi.value)
+            res = cap.solve_capacity(big)
+            beyond_absolute_slack += np.trace(res.input_pair.cov).real > big.power + 1e-8
+            mi = cap.gaussian_mutual_information(big, res.input_pair)
+            assert mi.value == pytest.approx(res.capacity_nats, rel=1e-12)
     assert beyond_absolute_slack > 0
 
 

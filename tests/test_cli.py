@@ -242,10 +242,12 @@ def test_verify_writes_report(files, tmp_path, capsys):
     assert all(r["passed"] for r in report["results"])
     fields = {"name", "passed", "detail", "measured", "tolerance", "samples", "k", "d", "values"}
     assert all(set(r) == fields for r in report["results"])
-    mi = [r for r in report["results"] if r["name"].endswith("matches scalar capacity")][0]
+    mi = [r for r in report["results"]
+          if r["name"].endswith("circularized input cannot lose mutual information")][0]
     assert (mi["samples"], mi["k"], mi["d"]) == (2000, 4, 2)
-    assert mi["measured"] <= mi["tolerance"]
-    assert f"{mi['measured']:.4f}" in mi["detail"]
+    assert mi["measured"] >= mi["tolerance"]
+    assert mi["measured"] == pytest.approx(mi["values"]["rot"] - mi["values"]["orig"])
+    assert f"{mi['values']['three_se']:.4f}" in mi["detail"]
     printed = capsys.readouterr().out.splitlines()
     assert f"[PASS] {mi['name']}: {mi['detail']}" in printed
 

@@ -50,6 +50,16 @@ MUTANTS = {
         "p_x = -h_inv @ spec.noise.pcov @ h_inv.T",
         "p_x = 0.0 * h_inv",
         ("random admissible specs",), 1, 1000),
+    "input-pcov-sign-flip": Mutant(
+        capacity, "_factor_channel",
+        "p_x = -h_inv @ spec.noise.pcov @ h_inv.T",
+        "p_x = +h_inv @ spec.noise.pcov @ h_inv.T",
+        ("random admissible specs",), 1, 1000, "solved input achieves capacity"),
+    "input-pcov-conj-transpose": Mutant(
+        capacity, "_factor_channel",
+        "p_x = -h_inv @ spec.noise.pcov @ h_inv.T",
+        "p_x = -h_inv @ spec.noise.pcov @ h_inv.conj().T",
+        ("random admissible specs",), 1, 1000, "solved input achieves capacity"),
     "loss-halved": Mutant(
         capacity, "capacity_loss",
         "delta = -0.5 * float(np.sum(np.log1p(-(mus**2)))) + 0.0",

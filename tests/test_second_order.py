@@ -64,8 +64,6 @@ SEEDED = {
     "SampleSet": lambda seed: so.SampleSet(data=np.ones((3, 1)), seed=seed),
     "sample_gaussian": lambda seed: so.sample_gaussian(scalar_pair(0.5), 10, seed),
     "circularize": lambda seed: ip.circularize(_SAMPLES, seed),
-    "mc_mutual_information": lambda seed: ip.mc_mutual_information(
-        _PROPER_SPEC, scalar_pair(0.5), 500, seed=seed),
     "verify_circular_optimality": lambda seed: ip.verify_circular_optimality(
         _PROPER_SPEC, _SAMPLES, seed=seed),
     "analog_entropy_gap": lambda seed: ip.analog_entropy_gap(_SAMPLES, seed=seed),
