@@ -158,7 +158,8 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     sv = np.linalg.svd(spec.h, compute_uv=False)
     h_ok = not linalg._not_positive(sv[-1], sv[0])
     if not h_ok:
-        out.append(Violation(H_SINGULAR, float(sv[-1]), linalg._eig_limits(sv[-1], sv[0])[0],
+        zero = float(linalg._eig_limits(sv[-1], sv[0])[0])
+        out.append(Violation(H_SINGULAR, float(sv[-1]), zero,
                              "channel matrix numerically singular"))
     mean_mag = float(np.max(np.abs(spec.noise.mean)))
     if mean_mag > 0.0:

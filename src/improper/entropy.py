@@ -46,11 +46,15 @@ so it adds only the query of p's points into q's tree; analog_entropy_gap
 reads h(x) through knn_entropy. Keeping the N distances instead would hold
 a large array for the lifetime of the set.
 
-Each query asks for the k-th neighbor distance alone and visits the points
-along a Z-order (Morton) curve through their bounding box, so consecutive
-queries walk the same tree nodes while they are still in cache; the
-distances are scattered back to row order. Every point is answered on its
-own, so the visiting order changes the speed and not a bit of the result.
+Each query asks for the k-th neighbor distance alone, and the points are
+visited in an order where consecutive queries walk the same tree nodes
+while they are still in cache: a self-search visits them in its own
+tree's leaf order (cKDTree.indices, which the build computes anyway), and
+knn_kl_divergence's query of p's points into q's tree, or a self-search
+by a tree class without ``indices``, along a Z-order (Morton) curve
+through the points' bounding box. The distances are scattered back to row
+order. Every point is answered on its own, so the visiting order changes
+the speed and not a bit of the result.
 
 A k-th neighbor distance of 0 (k or more other points at the very same
 place) has no logarithm: the estimators raise TiedSamples, which counts
@@ -238,7 +242,11 @@ def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
 
     points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
-    rho = _kth_distance(_kdtree()(points, boxsize=boxsize), points, k + 1, _spatial_order(points))
+    tree = _kdtree()(points, boxsize=boxsize)
+    # the tree's own leaf order where its class exposes one (scipy's does); a
+    # tree class need only build and query, so any other gets the Z-order
+    order = getattr(tree, "indices", None)
+    rho = _kth_distance(tree, points, k + 1, _spatial_order(points) if order is None else order)
     ties = int(np.count_nonzero(rho == 0.0))
     if ties:
         return _SelfSearch(n, d, ties)

@@ -13,7 +13,9 @@ threshold of the package is a constant below, each relative to the scale
 of the quantity it tests, so no verdict changes when the input is
 rescaled (the circularity coefficients are invariant under congruence and
 rescaling). The private predicates apply them to scalars the caller
-already has.
+already has; _asymmetry, _eig_limits and _eighs also take stacks
+(..., n, n), one value per matrix with the bits the matrix alone gives, for
+second_order's stacked pair factorization.
 
 Beside it sits the one input gate, which decides what a well-formed input
 is and which error names each fault: as_matrix admits every matrix and
@@ -28,7 +30,8 @@ by the exact bytes of the matrices they were computed from. hermitian_eig
 takes one, and second_order's pair factorization another, so a matrix
 factored by validate_pair, by SecondOrderPair.factors and by
 neeser_massey_bound is factored once while it stays among the last
-_MEMO_ENTRIES distinct inputs.
+_MEMO_ENTRIES distinct inputs. A stacked factorization keys no memo: its
+items are read once, and a lookup per item would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -174,26 +177,29 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a), 2))
 
 
-def _asymmetry(a: np.ndarray, hermitian: bool, beside: np.ndarray | None = None) -> float:
+def _asymmetry(a: np.ndarray, hermitian: bool, beside: np.ndarray | None = None):
     """||A - A'|| / max(||A||, ||S||) (Frobenius), A' = A^H or A^T; 0 for A = 0.
 
+    Taken over the last two axes: a (..., n, n) stack gives an array with one
+    value per matrix, each the bits the matrix alone gives (a numpy scalar).
     S is the matrix that sets A's scale, A itself unless ``beside`` is given.
     Both are divided by the largest absolute entry of either first, so no
     norm overflows and the value does not depend on a joint rescaling
-    (vdot(x, x) = ||x||^2).
+    (vecdot(x, x) = ||x||^2).
     """
-    peak = np.abs(a).max()
-    if peak == 0.0:
-        return 0.0
+    shape = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
+    scale = np.abs(a).max(axis=(-2, -1))
     if beside is not None:
-        peak = max(peak, np.abs(beside).max())
-    a = a / peak
-    norm2 = np.vdot(a, a).real
+        scale = np.maximum(scale, np.abs(beside).max(axis=(-2, -1)))
+    scale = (scale + (scale == 0.0))[..., None, None]  # 1 where all is 0: 0 / 1 reads 0
+    a = a / scale
+    flat = a.reshape(shape)
+    norm2 = np.vecdot(flat, flat).real
     if beside is not None:
-        s = beside / peak
-        norm2 = max(norm2, np.vdot(s, s).real)
-    diff = a - (a.conj().T if hermitian else a.T)
-    return float(np.vdot(diff, diff).real / norm2) ** 0.5
+        s = (beside / scale).reshape(shape)
+        norm2 = np.maximum(norm2, np.vecdot(s, s).real)
+    diff = (a - (a.conj() if hermitian else a).swapaxes(-1, -2)).reshape(shape)
+    return np.sqrt(np.vecdot(diff, diff).real / (norm2 + (norm2 == 0.0)))
 
 
 def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
@@ -201,10 +207,13 @@ def _symmetric_within_tol(a: np.ndarray, hermitian: bool) -> bool:
     return _asymmetry(a, hermitian) <= SYM_RTOL
 
 
-def _eig_limits(smallest, largest) -> tuple[float, float]:
-    """(zero, negative): the limits _not_positive and _negative test the smallest against."""
-    scale = max(abs(smallest), abs(largest))
-    return float(EIG_RTOL * scale), float(-PSD_RTOL * scale)
+def _eig_limits(smallest, largest):
+    """(zero, negative): the limits _not_positive and _negative test the smallest against.
+
+    Elementwise, so stacks of smallest and largest values give stacks of limits.
+    """
+    scale = np.maximum(abs(smallest), abs(largest))
+    return EIG_RTOL * scale, -PSD_RTOL * scale
 
 
 def _not_positive(smallest, largest) -> bool:
@@ -238,9 +247,19 @@ def hermitian_eig(a):
 def _hermitian_eig(a):
     if not _symmetric_within_tol(a, hermitian=True):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    d, u = np.linalg.eigh(0.5 * (a + a.conj().T))
-    idx = np.argsort(d)[::-1]
-    return _sealed(u[:, idx]), _sealed(d[idx])
+    u, d = _eighs(a)
+    return _sealed(u), _sealed(d)
+
+
+def _eighs(a):
+    """(U, d) of the Hermitian part 0.5 (A + A^H) of each matrix of a (..., n, n) stack.
+
+    One stacked eigh, d descending along the last axis (eigh's ascending
+    order reversed); no test and no memo. Each matrix gets the bits an eigh
+    of it alone gives.
+    """
+    d, u = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    return np.ascontiguousarray(u[..., ::-1]), np.ascontiguousarray(d[..., ::-1])
 
 
 def generalized_cholesky(a) -> np.ndarray:
@@ -289,7 +308,11 @@ def takagi(a) -> TakagiFactorization:
     a = as_matrix(a, square=True)
     if not _symmetric_within_tol(a, hermitian=False):
         raise NotSymmetric("matrix is not complex symmetric within tolerance")
-    a = 0.5 * (a + a.T)
+    return _takagi(0.5 * (a + a.T))
+
+
+def _takagi(a: np.ndarray) -> TakagiFactorization:
+    """takagi of a matrix already exactly symmetric, without the input test."""
     n = a.shape[0]
     emb = np.empty((2 * n, 2 * n))  # underline_map(a), without its second gate
     emb[:n, :n] = a.real

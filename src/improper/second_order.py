@@ -10,7 +10,11 @@ validates, embeds and samples such (C, P) pairs:
   One eigendecomposition C = U diag(d) U^H gives the whitener
   B^-1 = diag(1/sqrt(d)) U^H; one SVD of the coherence matrix
   M = B^-1 P B^-T gives the circularity coefficients; the Takagi
-  factorization of M (the canonical coordinates) is taken on first use,
+  factorization of M (the canonical coordinates) is taken on first use.
+  _factor_pairs factors a (k, n, n) stack of pairs with one stacked eigh
+  and one stacked SVD; a single pair is its batch of one (_factor_pair),
+  so the scalar and the batched API run the same code and give the same
+  bits,
 * circularity_spectrum: the singular values lambda_i of M; a valid pair has
   every lambda_i <= 1,
 * validate_pair: the full admissibility check with a machine-readable reason,
@@ -27,8 +31,11 @@ the next one reads. The factorization is also memoized on the content of
 the eigendecomposition of C on C's content (linalg.hermitian_eig): so
 validate_pair(c, p), SecondOrderPair(c, p) and neeser_massey_bound(c) on
 the same arrays take one eigendecomposition of C and one SVD of M between
-them. The validity tests are relative to the scale of the pair (the
-thresholds are linalg's), so rescaling a pair does not change its verdict.
+them. A stack bypasses both memos: _factored_pairs builds the
+SecondOrderPairs of a stack and hands each its factorization from one
+_factor_pairs call. The validity tests are relative to the scale of the
+pair (the thresholds are linalg's), so rescaling a pair does not change its
+verdict.
 A SampleSet likewise holds a sealed copy of its array, and the kNN
 estimators search it once per k per set object (entropy).
 """
@@ -70,7 +77,7 @@ class PairValidity:
 
 @dataclass(frozen=True)
 class PairFactors:
-    """The one factorization of a pair (C, P); built by _factor_pair.
+    """The one factorization of a pair (C, P); built by _factor_pairs.
 
     validity: the admissibility verdict; measured, limit: what the check that
     decided it measured and tested against (valid: lambda_max, 1 + LAMBDA_TOL).
@@ -132,47 +139,94 @@ class PairFactors:
 
         One eigh of M's real embedding (linalg.takagi); sigma equals lambdas
         to round-off, and Q is unitary to round-off however close the
-        lambdas are.
+        lambdas are. M's symmetric part is symmetric by construction, so
+        takagi's input test is skipped.
         """
         self.spectrum()  # raises when C is not positive definite (M undefined)
-        fac = linalg.takagi(0.5 * (self.m + self.m.T))
+        fac = linalg._takagi(0.5 * (self.m + self.m.T))
         return linalg.TakagiFactorization(q=linalg._sealed(fac.q), sigma=linalg._sealed(fac.sigma))
 
 
-def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
-    """Factor a pair of equal-shape non-empty complex matrices once.
+def _hermitian_eighs(c: np.ndarray):
+    """(hermitian, U, d): which C's of the stack are Hermitian, and linalg._eighs of those."""
+    hermitian = linalg._asymmetry(c, hermitian=True) <= linalg.SYM_RTOL
+    return (hermitian, *linalg._eighs(c[hermitian]))
 
-    Checks that C is Hermitian, takes one eigendecomposition of C, forms
-    B^-1 and M = B^-1 P B^-T, and takes one values-only SVD of M. The
-    verdict is that of validate_pair: the first failed check names the
-    reason. Each test on C is relative to C's scale; P's asymmetry is
-    measured against max(||P||, ||C||), the pair's scale, so a P that
-    cancels to round-off next to C is symmetric.
+
+def _memoized_eighs(c: np.ndarray):
+    """_hermitian_eighs of a batch of one, through hermitian_eig's memo.
+
+    The Hermitian test and the eigh run only when C's content misses the memo.
     """
     try:
-        u, d = linalg.hermitian_eig(c)
+        u, d = linalg._hermitian_eig(c[0])
     except NotHermitian:
-        return PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")),
-                           linalg._asymmetry(c, hermitian=True), linalg.SYM_RTOL)
-    zero, negative = linalg._eig_limits(d[-1], d[0])
-    if d[-1] <= zero:  # linalg._not_positive, with the limit kept for the record
-        reason, limit = (C_NOT_PSD, negative) if d[-1] < negative else (C_SINGULAR, zero)
-        return PairFactors(PairValidity(False, reason, float("nan")), float(d[-1]), limit, d=d)
-    b_inv = (u / np.sqrt(d)).conj().T  # B^-1 = diag(1/sqrt(d)) U^H
-    m = b_inv @ p @ b_inv.T
+        return np.zeros(1, dtype=bool), c[:0], c[:0, 0].real
+    return np.ones(1, dtype=bool), u[None], d[None]
+
+
+def _factor_pairs(c: np.ndarray, p: np.ndarray,
+                  hermitian_eighs=_hermitian_eighs) -> list[PairFactors]:
+    """Factor each pair of two (k, n, n) complex stacks once: a list of k PairFactors.
+
+    Runs validate_pair's tests on every item in its order, each as one
+    stacked step: the Hermitian test on C and one eigendecomposition of the
+    Hermitian C's (hermitian_eighs, d descending); the positivity and
+    singularity limits; B^-1 and M = B^-1 P B^-T of the positive definite
+    items alone (no other item reaches a square root or a division); one
+    values-only SVD of their M's; P's asymmetry against max(||P||, ||C||),
+    the pair's scale, so a P that cancels to round-off next to C is
+    symmetric; the lambda limit. The first failed test names an item's
+    reason. Each test on C is relative to C's scale, and each item gets the
+    bits it gets alone. A stack bypasses linalg._memo; _factor_pair, the
+    batch of one, reads C's eigendecomposition through hermitian_eig's memo.
+    """
+    out = [None] * len(c)
+    hermitian, u, d = hermitian_eighs(c)
+    herm = np.flatnonzero(hermitian)
+    if herm.size < len(c):
+        skew = np.flatnonzero(~hermitian)
+        for j, a in zip(skew.tolist(), linalg._asymmetry(c[skew], hermitian=True).tolist()):
+            out[j] = PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")), a,
+                                 linalg.SYM_RTOL)
+    zero, negative = linalg._eig_limits(d[:, -1], d[:, 0])
+    pos = d[:, -1] > zero  # item by item, the negation of linalg._not_positive
+    if not pos.all():
+        for i in np.flatnonzero(~pos).tolist():
+            psd = d[i, -1] >= negative[i]
+            reason, limit = (C_SINGULAR, zero[i]) if psd else (C_NOT_PSD, negative[i])
+            out[herm[i]] = PairFactors(PairValidity(False, reason, float("nan")),
+                                       float(d[i, -1]), float(limit), d=linalg._sealed(d[i]))
+        herm, u, d = herm[pos], u[pos], d[pos]
+    if herm.size < len(c):
+        c, p = c[herm], p[herm]
+    b_inv = (u / np.sqrt(d)[:, None, :]).conj().swapaxes(-1, -2)  # diag(1/sqrt(d)) U^H
+    m = b_inv @ p @ b_inv.swapaxes(-1, -2)
     lambdas = np.linalg.svd(m, compute_uv=False)
-    max_lambda = float(lambdas[0])
-    measured, limit = max_lambda, 1.0 + linalg.LAMBDA_TOL
-    asymmetry = linalg._asymmetry(p, hermitian=False, beside=c)
-    if asymmetry > linalg.SYM_RTOL:
-        validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
-        measured, limit = asymmetry, linalg.SYM_RTOL
-    elif max_lambda > limit:
-        validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
-    else:
-        validity = PairValidity(True, OK, max_lambda)
-    return PairFactors(validity, measured, limit, d=d, b_inv=linalg._sealed(b_inv),
-                       m=linalg._sealed(m), lambdas=linalg._sealed(lambdas))
+    p_asym = linalg._asymmetry(p, hermitian=False, beside=c).tolist()
+    for i, (j, max_lambda) in enumerate(zip(herm.tolist(), lambdas[:, 0].tolist())):
+        measured, limit = max_lambda, 1.0 + linalg.LAMBDA_TOL
+        if p_asym[i] > linalg.SYM_RTOL:
+            validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
+            measured, limit = p_asym[i], linalg.SYM_RTOL
+        elif max_lambda > limit:
+            validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
+        else:
+            validity = PairValidity(True, OK, max_lambda)
+        out[j] = PairFactors(validity, measured, limit, d=linalg._sealed(d[i]),
+                             b_inv=linalg._sealed(b_inv[i]), m=linalg._sealed(m[i]),
+                             lambdas=linalg._sealed(lambdas[i]))
+    return out
+
+
+def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
+    """Factor a pair of equal-shape non-empty complex matrices: _factor_pairs of a batch of one.
+
+    C's eigendecomposition is hermitian_eig's, memoized on C's content, so a
+    C factored by validate_pair, by a pair or by neeser_massey_bound is not
+    factored again.
+    """
+    return _factor_pairs(c[None], p[None], _memoized_eighs)[0]
 
 
 # Looks _factor_pair up on each miss, so the module's current one runs.
@@ -231,6 +285,20 @@ class SecondOrderPair:
     def proper(cls, cov) -> "SecondOrderPair":
         """Pair with vanishing complementary covariance (proper vector)."""
         return cls(cov=cov, pcov=np.zeros_like(cov, dtype=complex))
+
+
+def _factored_pairs(c, p) -> list[SecondOrderPair]:
+    """The SecondOrderPairs of two (k, n, n) stacks, factored by one _factor_pairs call.
+
+    Each pair holds sealed copies of its item and its factorization in
+    ``factors``; no memo is read or filled.
+    """
+    c = np.asarray(c, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    pairs = [SecondOrderPair(cov=ci, pcov=pi) for ci, pi in zip(c, p)]
+    for pair, factors in zip(pairs, _factor_pairs(c, p)):
+        vars(pair)["factors"] = factors  # the cached_property's slot
+    return pairs
 
 
 @dataclass(frozen=True)

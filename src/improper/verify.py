@@ -15,6 +15,13 @@ criterion -> names. Two Monte Carlo checks run only there, to keep the
 suites fast: the circular competitor's divergence and the circularized
 improper-Gaussian and rotated-uniform inputs.
 
+The random-pair checks ("pair validity", "real covariance identities",
+"Gaussian closed forms" and the noise pairs of "random admissible specs")
+draw their pairs one stack per dimension (_random_pair_stack) and factor
+each stack with one second_order._factor_pairs call, the same code a
+single pair runs as a batch of one. _psd_oracle is stacked over the same
+arrays and shares nothing with the library's factorization or embedding.
+
 Each result carries the measured value, the tolerance it was held against,
 the sample count (draws, or random instances of an exact identity), k and
 the real dimension d of a kNN estimate, and the other numbers its detail
@@ -82,58 +89,73 @@ def _seed(rng) -> int:
     return int(rng.integers(2**32))
 
 
-def _random_complex(rng, n, m) -> np.ndarray:
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def _random_complex(rng, *shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _random_pair(rng, n, lam_max, exact_max=True) -> second_order.SecondOrderPair:
-    """Random pair with circularity spectrum lam_max * u, u uniform on [0, 1)^n.
+def _random_pair_stack(rng, n, lam_max, exact_max=True) -> tuple[np.ndarray, np.ndarray]:
+    """(C, P): len(lam_max) random pairs of dimension n, stacked (k, n, n).
 
-    With exact_max, u is sorted descending and rescaled to max 1, so lam_max
-    is the exact maximum.
+    Item i has circularity spectrum lam_max[i] * u, u uniform on [0, 1)^n.
+    With exact_max, u is sorted descending and rescaled to max 1, so
+    lam_max[i] is the exact maximum.
     """
-    a = _random_complex(rng, n, n)
-    c = a @ a.conj().T + 0.1 * np.eye(n)
-    b = linalg.generalized_cholesky(c)
-    lams = rng.random(n)
+    lam_max = np.asarray(lam_max, dtype=float)[:, None]
+    k = lam_max.shape[0]
+    a = _random_complex(rng, k, n, n)
+    c = a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(n)
+    u, d = linalg._eighs(c)
+    b = u * np.sqrt(d)[:, None, :]  # B B^H = C
+    lams = rng.random((k, n))
     if exact_max:
-        lams = np.sort(lams)[::-1]
-        lams = lams / lams[0] * lam_max if lams[0] > 0 else np.full(n, float(lam_max))
+        lams = np.sort(lams, axis=-1)[:, ::-1]
+        lams = lams / lams[:, :1] * lam_max
     else:
         lams = lam_max * lams
-    q = np.linalg.qr(_random_complex(rng, n, n))[0]
-    p = b @ (q * lams) @ q.T @ b.T
-    return second_order.SecondOrderPair(cov=c, pcov=0.5 * (p + p.T))
+    q = np.linalg.qr(_random_complex(rng, k, n, n))[0]
+    p = b @ (q * lams[:, None, :]) @ q.swapaxes(-1, -2) @ b.swapaxes(-1, -2)
+    return c, 0.5 * (p + p.swapaxes(-1, -2))
 
 
-def _random_spec(rng, n) -> capacity.ChannelSpec:
-    """Random admissible channel: improper noise with lambda < 0.9, S = 2.5 n ||H^-1 C_z H^-H||."""
-    h = np.eye(n) + 0.1 * _random_complex(rng, n, n)
-    noise = _random_pair(rng, n, 0.9, exact_max=False)
+def _random_specs(rng, n, count) -> list[capacity.ChannelSpec]:
+    """count random admissible channels of dimension n: improper noise with lambda < 0.9,
+    S = 2.5 n ||H^-1 C_z H^-H||. The noise pairs are factored as one stack."""
+    h = np.eye(n) + 0.1 * _random_complex(rng, count, n, n)
+    c, p = _random_pair_stack(rng, n, np.full(count, 0.9), exact_max=False)
     h_inv = np.linalg.inv(h)
-    power = 2.5 * n * linalg.operator_norm(h_inv @ noise.cov @ h_inv.conj().T)
-    return capacity.ChannelSpec(h=h, noise=noise, power=float(power))
+    referred = h_inv @ c @ h_inv.conj().swapaxes(-1, -2)
+    power = 2.5 * n * np.linalg.norm(referred, 2, axis=(-2, -1))
+    return [capacity.ChannelSpec(h=hi, noise=noise, power=float(s))
+            for hi, noise, s in zip(h, second_order._factored_pairs(c, p), power)]
 
 
-def _psd_oracle(c, p) -> bool:
-    """Brute-force validity: Hermitian non-singular C, P symmetric next to the
-    pair's scale, and a PSD real covariance built from the Re/Im blocks (not
-    the library's embedding)."""
-    c = np.asarray(c, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if np.linalg.norm(c - c.conj().T) > 1e-10 * max(np.linalg.norm(c), 1e-12):
-        return False
-    eig_c = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    if eig_c[0] <= 1e-12 * max(abs(eig_c[0]), abs(eig_c[-1]), 1e-12):
-        return False
-    if np.linalg.norm(p - p.T) > 1e-10 * max(np.linalg.norm(p), np.linalg.norm(c), 1e-12):
-        return False
+def _by_dimension(rng, low, high, count):
+    """(n, k) for each dimension n of count draws uniform on [low, high): k draws are n."""
+    dims, counts = np.unique(rng.integers(low, high, size=count), return_counts=True)
+    return zip(dims.tolist(), counts.tolist())
+
+
+def _psd_oracle(c, p) -> np.ndarray:
+    """Brute-force validity of each pair of two (k, n, n) stacks: Hermitian
+    non-singular C, P symmetric next to the pair's scale, and a PSD real
+    covariance built from the Re/Im blocks (not the library's embedding)."""
+    def fro(x):
+        return np.linalg.norm(x, axis=(-2, -1))
+
+    def top(eigs):
+        return np.maximum(np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1])), 1e-12)
+
+    c_h = c.conj().swapaxes(-1, -2)
+    eig_c = np.linalg.eigvalsh(0.5 * (c + c_h))
     s = 0.5 * np.block([
         [c.real + p.real, -c.imag + p.imag],
         [c.imag + p.imag, c.real - p.real],
     ])
-    eig_s = np.linalg.eigvalsh(0.5 * (s + s.T))
-    return bool(eig_s[0] >= -1e-9 * max(abs(eig_s[0]), abs(eig_s[-1]), 1e-12))
+    eig_s = np.linalg.eigvalsh(0.5 * (s + s.swapaxes(-1, -2)))
+    return ((fro(c - c_h) <= 1e-10 * np.maximum(fro(c), 1e-12))
+            & (eig_c[:, 0] > 1e-12 * top(eig_c))
+            & (fro(p - p.swapaxes(-1, -2)) <= 1e-10 * np.maximum(np.maximum(fro(p), fro(c)), 1e-12))
+            & (eig_s[:, 0] >= -1e-9 * top(eig_s)))
 
 
 def _divergence_quadrature(lam: float) -> float:
@@ -272,53 +294,59 @@ def _takagi_factorization(rng, samples):
 @_check("pair validity")
 def _pair_validity(rng, samples):
     disagreements = 0
-    for i in range(500):
-        n = int(rng.integers(1, 6))
-        if i < 9:
-            pair = _random_pair(rng, n, [1.0 - 1e-6, 1.0, 1.0 + 1e-6][i % 3])
-            c, p = pair.cov, pair.pcov
-        elif i % 7 == 0:
-            c = _random_complex(rng, n, n)
-            c = c @ c.conj().T + 0.1 * np.eye(n)
-            p = _random_complex(rng, n, n)  # generically not symmetric
-        elif i % 11 == 0:
-            c = _random_complex(rng, n, n)  # generically not Hermitian
-            p = np.zeros((n, n), dtype=complex)
-        else:
-            pair = _random_pair(rng, n, float(1.4 * rng.random()))
-            c, p = pair.cov, pair.pcov
-        disagreements += second_order.validate_pair(c, p).valid != _psd_oracle(c, p)
+    for n in range(1, 6):  # 100 pairs of each dimension, factored as one stack
+        edge = _random_pair_stack(rng, n, [1.0 - 1e-6, 1.0, 1.0 + 1e-6])
+        spread = _random_pair_stack(rng, n, 1.4 * rng.random(70))
+        a = _random_complex(rng, 10, n, n)
+        skew_p = (a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(n),
+                  _random_complex(rng, 10, n, n))  # generically not symmetric
+        skew_c = (_random_complex(rng, 5, n, n),  # generically not Hermitian
+                  np.zeros((5, n, n), dtype=complex))
+        # Hermitian C with eigenvalues in [0.5, 1.5) but the last: 6 at 1e-14 to 1e-13
+        # (singular next to the others), 6 at -1e-3 to -1 (indefinite); P = 0 for half
+        eigs = rng.uniform(0.5, 1.5, (12, n))
+        eigs[:, -1] = np.concatenate([10.0 ** rng.uniform(-14, -13, 6),
+                                      -(10.0 ** rng.uniform(-3, 0, 6))])
+        q = np.linalg.qr(_random_complex(rng, 12, n, n))[0]
+        g = _random_complex(rng, 12, n, n)
+        low = ((q * eigs[:, None, :]) @ q.conj().swapaxes(-1, -2),
+               np.where(np.arange(12)[:, None, None] % 2 == 0, 0.0,
+                        0.1 * (g + g.swapaxes(-1, -2))))
+        c, p = (np.concatenate(parts) for parts in zip(edge, spread, skew_p, skew_c, low))
+        valid = np.array([f.validity.valid for f in second_order._factor_pairs(c, p)])
+        disagreements += int(np.count_nonzero(valid != _psd_oracle(c, p)))
     c, p = np.eye(2), np.array([[0.0, 1e-15], [0.0, 0.0]])  # P at round-off next to C
-    disagreements += second_order.validate_pair(c, p).valid != _psd_oracle(c, p)
+    disagreements += second_order.validate_pair(c, p).valid != _psd_oracle(c[None], p[None])[0]
     return [_result("pair validity matches PSD oracle",
-                    "{measured:.0f} disagreements over {N} random pairs "
-                    "incl. 9 at lambda in {{1-1e-6, 1, 1+1e-6}}, and P = 1e-15 E12 next to C = I",
-                    disagreements, 0, samples=500)]
+                    "{measured:.0f} disagreements over {N} random pairs incl. 15 at lambda in "
+                    "{{1-1e-6, 1, 1+1e-6}}, 25 with the smallest eigenvalue of C at 1e-14 to "
+                    "1e-13 of the others and 25 with it negative, and P = 1e-15 E12 next to "
+                    "C = I", disagreements, 0, samples=500)]
 
 
 @_check("real covariance identities")
 def _real_covariance_identities(rng, samples):
     det_err = rt_err = spec_inv = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        pair = _random_pair(rng, n, float(0.9 * rng.random()))
-        s = second_order.real_covariance(pair)
-        lams = second_order.circularity_spectrum(pair)
-        det_c = np.linalg.det(pair.cov).real
-        expected = 4.0 ** (-n) * det_c**2 * float(np.prod(1 - lams**2))
-        det_err = max(det_err, abs(np.linalg.det(s) - expected) / max(abs(expected), 1e-12))
-        back = second_order.pair_from_real_covariance(s)
-        # P enters S only through sums with C, so both round-trip errors are
-        # measured against the scale of the embedded pair, not |P| alone.
-        pair_scale = np.linalg.norm(pair.cov) + np.linalg.norm(pair.pcov)
-        rt_err = max(rt_err,
-                     float(np.linalg.norm(back.cov - pair.cov) / pair_scale),
-                     float(np.linalg.norm(back.pcov - pair.pcov) / pair_scale))
-        a = _random_complex(rng, n, n) + 2 * np.eye(n)
-        moved = second_order.SecondOrderPair(
-            cov=a @ pair.cov @ a.conj().T, pcov=a @ pair.pcov @ a.T)
-        spec_inv = max(spec_inv, float(np.max(np.abs(
-            second_order.circularity_spectrum(moved) - lams))))
+    for n, k in _by_dimension(rng, 1, 6, 50):
+        c, p = _random_pair_stack(rng, n, 0.9 * rng.random(k))
+        pairs = second_order._factored_pairs(c, p)
+        lams = np.array([second_order.circularity_spectrum(pair) for pair in pairs])
+        s = np.array([second_order.real_covariance(pair) for pair in pairs])
+        expected = 4.0 ** (-n) * np.linalg.det(c).real ** 2 * np.prod(1 - lams**2, axis=-1)
+        det_err = max(det_err, float(np.max(np.abs(np.linalg.det(s) - expected)
+                                            / np.maximum(np.abs(expected), 1e-12))))
+        for si, ci, pi in zip(s, c, p):
+            back = second_order.pair_from_real_covariance(si)
+            # P enters S only through sums with C, so both round-trip errors are
+            # measured against the scale of the embedded pair, not |P| alone.
+            pair_scale = np.linalg.norm(ci) + np.linalg.norm(pi)
+            rt_err = max(rt_err, float(np.linalg.norm(back.cov - ci) / pair_scale),
+                         float(np.linalg.norm(back.pcov - pi) / pair_scale))
+        a = _random_complex(rng, k, n, n) + 2 * np.eye(n)
+        moved = second_order._factored_pairs(a @ c @ a.conj().swapaxes(-1, -2),
+                                             a @ p @ a.swapaxes(-1, -2))
+        moved_lams = np.array([second_order.circularity_spectrum(pair) for pair in moved])
+        spec_inv = max(spec_inv, float(np.max(np.abs(moved_lams - lams))))
     return [
         _result("det(real covariance) identity", _ERR, det_err, 1e-6, samples=50),
         _result("real covariance round-trip",
@@ -365,12 +393,12 @@ def _polar_density_integral(rng, samples):
 @_check("Gaussian closed forms")
 def _gaussian_closed_forms(rng, samples):
     route = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        pair = _random_pair(rng, n, float(0.95 * rng.random()))
-        h_c = entropy.complex_gaussian_entropy(pair).value
-        h_r = entropy.real_gaussian_entropy(second_order.real_covariance(pair)).value
-        route = max(route, abs(h_c - h_r))
+    for n, k in _by_dimension(rng, 1, 7, 200):
+        for pair in second_order._factored_pairs(
+                *_random_pair_stack(rng, n, 0.95 * rng.random(k))):
+            h_c = entropy.complex_gaussian_entropy(pair).value
+            h_r = entropy.real_gaussian_entropy(second_order.real_covariance(pair)).value
+            route = max(route, abs(h_c - h_r))
     exact = max(abs(entropy.complex_gaussian_entropy(_PROPER).value - _LOG_PI_E),
                 abs(entropy.complex_gaussian_entropy(_IMPROPER).value
                     - (_LOG_PI_E + 0.5 * np.log(1.0 - 0.64))))
@@ -610,12 +638,12 @@ def _worked_capacity(rng, samples):
 
 
 @_check("random admissible specs")
-def _random_specs(rng, samples):
+def _random_admissible_specs(rng, samples):
     budget_err = formula_err = achieved_err = gap_err = 0.0
     invalid = outside = 0
-    for _ in range(100):
-        n = int(rng.integers(1, 7))
-        spec = _random_spec(rng, n)
+    specs = [(n, spec) for n, k in _by_dimension(rng, 1, 7, 100)
+             for spec in _random_specs(rng, n, k)]
+    for n, spec in specs:
         res = capacity.solve_capacity(spec)
         budget_err = max(budget_err,
                          abs(float(np.trace(res.input_pair.cov).real) - spec.power) / spec.power)
@@ -653,7 +681,7 @@ def _random_specs(rng, samples):
 
 @_check("capacity in power and noise")
 def _capacity_monotone(rng, samples):
-    spec = _random_spec(rng, 2)
+    spec, = _random_specs(rng, 2, 1)
     caps = [capacity.solve_capacity(capacity.ChannelSpec(
         h=spec.h, noise=spec.noise, power=spec.power * mult)).capacity_nats
         for mult in (1.0, 1.5, 2.0, 3.0)]
@@ -755,9 +783,15 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name: str, seed: int, samples: int = DEFAULT_SAMPLES) -> list[PropertyResult]:
-    """Run one named suite (or 'all'); returns the list of property results."""
+    """Run one named suite (or 'all'); returns the list of property results.
+
+    Raises ValueError for an unknown suite, and DomainError unless seed is an
+    integer >= 0 and samples an integer >= 1.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    seed = linalg._int_at_least(seed, "seed", 0)
+    samples = linalg._int_at_least(samples, "samples")
     names = list(_SUITE_FUNCS) if name == "all" else [name]
     return [replace(res, name=f"{suite}: {res.name}")
             for suite in names for res in _SUITE_FUNCS[suite](seed, samples)]

@@ -159,7 +159,7 @@ def test_capacity_raises_on_violations():
 def test_solved_input_respects_budget_and_validity():
     rng = np.random.default_rng(101)
     for _ in range(20):
-        spec = verify._random_spec(rng, int(rng.integers(1, 5)))
+        spec = verify._random_specs(rng, int(rng.integers(1, 5)), 1)[0]
         res = cap.solve_capacity(spec)
         assert np.trace(res.input_pair.cov).real == pytest.approx(spec.power, rel=1e-10)
         assert so.validate_pair(res.input_pair.cov, res.input_pair.pcov).valid
@@ -180,7 +180,7 @@ def test_capacity_loss_formula_and_bound():
     rng = np.random.default_rng(102)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        spec = verify._random_spec(rng, n)
+        spec = verify._random_specs(rng, n, 1)[0]
         loss = cap.capacity_loss(spec)
         h_inv = np.linalg.inv(spec.h)
         t = np.trace(h_inv @ spec.noise.cov @ h_inv.conj().T).real
@@ -260,7 +260,7 @@ def test_gaussian_mutual_information_equals_capacity_at_large_budgets():
     beyond_absolute_slack = 0
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        spec = verify._random_spec(rng, int(rng.integers(2, 7)))
+        spec = verify._random_specs(rng, int(rng.integers(2, 7)), 1)[0]
         for factor in (1e6, 1e9, 1e12):
             big = cap.ChannelSpec(h=spec.h, noise=spec.noise, power=spec.power * factor)
             res = cap.solve_capacity(big)

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from improper import fileio
+from improper import fileio, verify
 from improper.cli import main
+from improper.errors import DomainError
 
 
 def write_scalar(path, value):
@@ -254,6 +255,13 @@ def test_verify_writes_report(files, tmp_path, capsys):
 
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 1
+
+
+@pytest.mark.parametrize("seed, samples", [(1, 2.5), (1, -5), (1, 0), (1, True), (-1, 2000),
+                                           (1.5, 2000), ("1", 2000)])
+def test_run_suite_gates_seed_and_samples(seed, samples):
+    with pytest.raises(DomainError, match="seed|samples"):
+        verify.run_suite("algebra", seed, samples)
 
 
 def test_version_flag(capsys):

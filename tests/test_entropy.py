@@ -82,7 +82,8 @@ def test_complex_gaussian_entropy_scalar_exact():
 def test_complex_gaussian_entropy_matches_real_route():
     rng = np.random.default_rng(51)
     for _ in range(20):
-        pair = verify._random_pair(rng, int(rng.integers(1, 6)), 0.9, exact_max=False)
+        pair, = so._factored_pairs(
+            *verify._random_pair_stack(rng, int(rng.integers(1, 6)), [0.9], exact_max=False))
         h_complex = entropy.complex_gaussian_entropy(pair).value
         h_real = entropy.real_gaussian_entropy(so.real_covariance(pair)).value
         assert h_complex == pytest.approx(h_real, abs=1e-9)
@@ -257,7 +258,8 @@ def test_kth_distance_matches_plain_query_in_any_order(periodic):
             box = None
             points = rng.standard_normal((count, d))
         tree = entropy.cKDTree(points, boxsize=box)
-        orders = (entropy._spatial_order(points), rng.permutation(count), np.arange(count))
+        orders = (entropy._spatial_order(points), tree.indices, rng.permutation(count),
+                  np.arange(count))
         for k in (1, 4):
             plain = tree.query(points, k=k + 1)[0][:, k]
             for order in orders:

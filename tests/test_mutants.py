@@ -82,12 +82,17 @@ MUTANTS = {
         ("circular analog of improper Gaussian",), 1, 100_000,
         "circularize erases complementary covariance"),
     "coherence-svd-of-p": Mutant(
-        second_order, "_factor_pair",
+        second_order, "_factor_pairs",
         "lambdas = np.linalg.svd(m, compute_uv=False)",
         "lambdas = np.linalg.svd(p, compute_uv=False)",
         ("real covariance identities",), 1, 1000),
+    "singular-c-accepted": Mutant(
+        second_order, "_factor_pairs",
+        "pos = d[:, -1] > zero",
+        "pos = d[:, -1] >= negative",
+        ("pair validity",), 1, 1000, "pair validity matches PSD oracle"),
     "takagi-without-qr": Mutant(
-        linalg, "takagi",
+        linalg, "_takagi",
         "q = np.linalg.qr(top[:n] + 1j * top[n:])[0]",
         "q = top[:n] + 1j * top[n:]",
         ("takagi factorization",), 1, 1000),

@@ -205,6 +205,34 @@ def test_verdicts_and_spectrum_are_scale_free(scale):
                 so.circularity_spectrum(so.SecondOrderPair(cov=c, pcov=p)), rtol=1e-12)
 
 
+def _bits(factors: so.PairFactors) -> tuple:
+    """Everything a PairFactors records, as bytes (a nan equals itself)."""
+    floats = (factors.validity.max_lambda, factors.measured, factors.limit)
+    arrays = (factors.d, factors.b_inv, factors.m, factors.lambdas)
+    return (factors.validity.valid, factors.validity.reason,
+            np.array(floats).tobytes(),
+            tuple(None if a is None else (a.shape, a.tobytes()) for a in arrays))
+
+
+@pytest.mark.parametrize("scale", [1.0] + SCALES)
+def test_stacked_factors_match_the_scalar_path_bit_for_bit(scale):
+    cases = _scaled_cases()
+    c = scale * np.array([case[0] for case in cases], dtype=complex)
+    p = scale * np.array([case[1] for case in cases], dtype=complex)
+    lookups = [memo.cache_info()[:2] for memo in linalg._MEMOS]
+    stacked = so._factor_pairs(c, p)
+    held = so._factored_pairs(c[::-1], p[::-1])[::-1]  # another order, the same bits
+    assert [memo.cache_info()[:2] for memo in linalg._MEMOS] == lookups  # no memo read
+    assert [f.validity.reason for f in stacked] == [case[2] for case in cases]
+    for i, factors in enumerate(stacked):
+        scalar = so._factor_pair(c[i], p[i])
+        assert _bits(factors) == _bits(scalar) == _bits(held[i].factors), cases[i][2]
+        for a in (factors.d, factors.b_inv, factors.m, factors.lambdas):
+            if a is not None:
+                with pytest.raises(ValueError):
+                    a.flags.writeable = True
+
+
 @pytest.mark.parametrize("scale", SCALES)
 def test_symmetry_tests_are_scale_free(scale):
     # neither tiny nor huge entries (whose Frobenius norm overflows) hide the asymmetry
@@ -274,7 +302,7 @@ def test_p_symmetry_is_judged_against_the_pair_scale():
     # the channel output at the solved input: P_y = H P_x H^T + P_z cancels to round-off
     rng = np.random.default_rng(77)
     for _ in range(100):
-        spec = verify._random_spec(rng, int(rng.integers(1, 7)))
+        spec = verify._random_specs(rng, int(rng.integers(1, 7)), 1)[0]
         x = capacity.solve_capacity(spec).input_pair
         h = spec.h
         v = so.validate_pair(h @ x.cov @ h.conj().T + spec.noise.cov,
