@@ -265,9 +265,12 @@ def gaussian_mutual_information(
     """Closed-form I(x; y) = h(y) - h(z) for Gaussian input and Gaussian noise.
 
     y = Hx + z has the pair (H C_x H^H + C_z, H P_x H^T + P_z), and both
-    entropies are complex_gaussian_entropy. Raises InvalidPair for an invalid
+    entropies are complex_gaussian_entropy. Raises DimensionMismatch for an
+    input of another dimension than the channel, InvalidPair for an invalid
     input pair and PowerExceeded when trace(C_x) exceeds the budget.
     """
+    if input_pair.dim != spec.dim:
+        raise DimensionMismatch("channel and input dimensions differ")
     input_pair.factors.require_valid()
     tr = float(np.trace(input_pair.cov).real)
     if tr > spec.power * (1.0 + linalg.POWER_RTOL):
@@ -293,10 +296,13 @@ def verify_circular_optimality(
     estimator noise mi_circularized >= mi_original - 3 stderr.
 
     Both evaluations use the same noise draws, one per input vector, so
-    their difference is estimated with reduced variance.
+    their difference is estimated with reduced variance. Raises
+    DimensionMismatch for samples of another dimension than the channel.
     """
     from .analog import circularize  # here, so solving a channel never loads analog
 
+    if noncircular_input.n != spec.dim:
+        raise DimensionMismatch("channel and input dimensions differ")
     c_norm = linalg.operator_norm(spec.noise.cov)
     if linalg.operator_norm(spec.noise.pcov) > linalg.PROPER_RTOL * c_norm:
         raise NoiseNotCircular("noise complementary covariance must vanish")

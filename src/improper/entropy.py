@@ -37,24 +37,62 @@ test-suite are frozen there.
 
 The kd-tree query dominates their cost, so each sample set is searched
 once per k. A SampleSet holds a sealed array, and the first estimator
-that needs the k-th neighbor distances of a set within itself builds the
-set's one tree, queries each point once and caches only scalars on the set:
-N, d, the tie count, the Kozachenko-Leonenko value and stderr, and the
-mean log distance. knn_entropy returns that value; knn_kl_divergence is the
-difference of two means, d (mean log nu - mean log rho) + log(M / (N - 1)),
-so it adds only the query of p's points into q's tree; analog_entropy_gap
-reads h(x) through knn_entropy. Keeping the N distances instead would hold
-a large array for the lifetime of the set.
+that needs the k-th neighbor distances of a set within itself searches the
+set: one tree build (two builds above the crossover described below), one
+query of each point, and only scalars cached on the set: N, d, the tie
+count, the Kozachenko-Leonenko value and stderr, and the mean log distance.
+knn_entropy returns that value; knn_kl_divergence is the difference of two
+means, d (mean log nu - mean log rho) + log(M / (N - 1)), so it adds only
+q's tree and the query of p's points into it; analog_entropy_gap reads
+h(x) through knn_entropy. Keeping the N distances instead would hold a
+large array for the lifetime of the set.
 
-Each query asks for the k-th neighbor distance alone, and the points are
-visited in an order where consecutive queries walk the same tree nodes
-while they are still in cache: a self-search visits them in its own
-tree's leaf order (cKDTree.indices, which the build computes anyway), and
-knn_kl_divergence's query of p's points into q's tree, or a self-search
-by a tree class without ``indices``, along a Z-order (Morton) curve
-through the points' bounding box. The distances are scattered back to row
-order. Every point is answered on its own, so the visiting order changes
-the speed and not a bit of the result.
+Every tree the estimators query comes from one function, _tree. Each query
+asks for the k-th neighbor distance alone, and the points are visited in
+an order where consecutive queries walk the same tree nodes while they are
+still in cache: a self-search visits them in its tree's leaf order
+(cKDTree.indices, which the build computes anyway), and knn_kl_divergence's
+query of p's points into q's tree, or a self-search by a tree class
+without ``indices``, along a Z-order (Morton) curve through the points'
+bounding box. The distances are scattered back to row order.
+
+The layout of a tree's points depends on the real dimension d. Below the
+crossover, d < _LEAF_ORDER_MIN_DIM = 8, the tree is built once over the
+points as given, with cKDTree's default 16-point leaves. From d = 8 up, a
+first tree is built only to read its leaf order and then dropped; the
+points are copied into that order, and the tree queried is built over the
+copy with _LEAF_ORDER_LEAFSIZE = 32-point leaves, so each leaf is a
+contiguous run of rows, and a self-search queries the copy in row order.
+A tree class without ``indices`` keeps the one tree. Every point is
+answered on its own, and a k-th neighbor distance is the same float
+whichever tree finds it, so neither the visiting order nor the layout
+changes a bit of the result.
+
+The crossover and the leaf size come from this table: one self-search
+(build and query, k = 4), median of five alternating pairs, in ms, on 2
+cores (Python 3.11, numpy 2.4, scipy 1.17). Open points are Gaussian, as
+the knn benchmark draws them; periodic ones are divergence_to_analog's
+sheared coordinates (d = 2n or 2n - 1, the phases on [0, 1) circles).
+
+       N   d  points    one tree  leaf-ordered copy
+  100000   3  periodic       245       280  (+14%)
+  100000   4  open           249       255  (+2%)
+  100000   4  periodic       404       437  (+8%)
+  100000   6  open           906       851  (-6%)
+  100000   6  periodic      1780      1769  (-1%)
+  100000   7  open          1705      1558  (-9%)
+  100000   7  periodic      3211      3133  (-2%)
+  100000   8  open          2949      2318  (-21%)
+  100000   8  periodic      5489      5087  (-7%)
+   25000  10  open          1229       861  (-30%)
+   25000  10  periodic       994       845  (-15%)
+  100000  10  open          7923      5705  (-28%)
+
+Below d = 8 the copy gains nothing beyond the noise of these runs (some
+10%) and loses up to 14% on the periodic searches; from 8 up it gains in
+every row. In one run at d = 8 (N = 100000) and d = 10 (N = 25000), copies
+with 16-point leaves gained -12% and -8%, with 32-point leaves -24% and
+-28%, and with 64-point leaves -26% and -23%.
 
 A k-th neighbor distance of 0 (k or more other points at the very same
 place) has no logarithm: the estimators raise TiedSamples, which counts
@@ -81,6 +119,11 @@ CLOSED_FORM = "CLOSED_FORM"
 KNN_ESTIMATE = "KNN_ESTIMATE"
 
 DEFAULT_K = 4
+
+# _tree's crossover (a real dimension) and leaf size, from the table in the
+# module docstring
+_LEAF_ORDER_MIN_DIM = 8
+_LEAF_ORDER_LEAFSIZE = 32
 
 
 @dataclass(frozen=True)
@@ -182,14 +225,36 @@ def _spatial_order(points: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _kth_distance(tree, points: np.ndarray, k: int, order: np.ndarray) -> np.ndarray:
-    """Distance from each row of points to its k-th nearest tree point (k >= 1).
+def _tree(points: np.ndarray, boxsize=None):
+    """(tree, order, rows): the kd-tree the estimators query over points.
 
-    Queries the rows in the given order and returns the distances in row
-    order; each row is answered on its own, so any order gives the same bits.
+    Every tree the estimators build comes from here, made by the module's
+    cKDTree. order is the leaf order (``indices``) of the tree built over
+    points, or None for a tree class without ``indices``. Below
+    _LEAF_ORDER_MIN_DIM real dimensions, or for such a class, that tree is
+    returned and rows is None. From _LEAF_ORDER_MIN_DIM up it only gives
+    the order: rows is the copy points[order], and the tree returned is
+    built over rows with _LEAF_ORDER_LEAFSIZE-point leaves, so each leaf
+    reads a contiguous run of rows. Which tree finds a k-th neighbor
+    distance does not change its bits.
     """
-    dist = np.empty(points.shape[0])
-    dist[order] = tree.query(points[order], k=[k], workers=-1)[0][:, 0]
+    tree = _kdtree()(points, boxsize=boxsize)
+    order = getattr(tree, "indices", None)
+    if order is None or points.shape[1] < _LEAF_ORDER_MIN_DIM:
+        return tree, order, None
+    rows = points[order]
+    return _kdtree()(rows, leafsize=_LEAF_ORDER_LEAFSIZE, boxsize=boxsize), order, rows
+
+
+def _kth_distance(tree, rows: np.ndarray, k: int, order: np.ndarray) -> np.ndarray:
+    """Distance from each point to its k-th nearest tree point (k >= 1), in point order.
+
+    rows holds the points in visiting order, rows[i] = points[order[i]]: the
+    rows are queried in row order and the distances scattered back through
+    order. Each row is answered on its own, so any order gives the same bits.
+    """
+    dist = np.empty(rows.shape[0])
+    dist[order] = tree.query(rows, k=[k], workers=-1)[0][:, 0]
     return dist
 
 
@@ -232,7 +297,7 @@ class _SelfSearch:
 
 
 def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
-    """One tree over the points and one (k+1)-th neighbor query of every row.
+    """The points' tree (_tree) and one (k+1)-th neighbor query of every row.
 
     The nearest neighbor of a row is the row itself, so the distance found
     is to its k-th nearest other row. boxsize follows cKDTree: per-dimension
@@ -242,11 +307,10 @@ def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
 
     points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
-    tree = _kdtree()(points, boxsize=boxsize)
-    # the tree's own leaf order where its class exposes one (scipy's does); a
-    # tree class need only build and query, so any other gets the Z-order
-    order = getattr(tree, "indices", None)
-    rho = _kth_distance(tree, points, k + 1, _spatial_order(points) if order is None else order)
+    tree, order, rows = _tree(points, boxsize)
+    if order is None:  # a tree class need only build and query: visit in Z-order
+        order = _spatial_order(points)
+    rho = _kth_distance(tree, points[order] if rows is None else rows, k + 1, order)
     ties = int(np.count_nonzero(rho == 0.0))
     if ties:
         return _SelfSearch(n, d, ties)
@@ -305,7 +369,8 @@ def knn_kl_divergence(
     _knn_guard(k, p_samples, q_samples)
     search = _self_search(p_samples, k).untied(f"k-th neighbor distance within p (k={k})")
     x = linalg.real_vector(p_samples.data)
-    nu = _kth_distance(_kdtree()(linalg.real_vector(q_samples.data)), x, k, _spatial_order(x))
+    order = _spatial_order(x)
+    nu = _kth_distance(_tree(linalg.real_vector(q_samples.data))[0], x[order], k, order)
     _check_ties(nu, f"k-th neighbor distance into q (k={k})")
     est = (search.dim * (float(np.log(nu).mean()) - search.mean_log_rho)
            + np.log(q_samples.count / (search.count - 1)))

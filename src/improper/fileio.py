@@ -1,8 +1,9 @@
 """Text file formats used by the CLI.
 
 Matrix file (JSON): {"n": rows, "m": cols, "re": [[...]], "im": [[...]]}
-with re/im both n x m nested arrays of finite reals. NaN/Infinity tokens are
-rejected at parse time.
+with re/im both n x m nested arrays of finite JSON numbers. NaN/Infinity
+tokens are rejected at parse time, and true/false or a quoted number are
+not numbers.
 
 Sample file (JSON): {"n": dim, "count": N, "seed": s, "re": [[N x n]],
 "im": [[N x n]]}.
@@ -21,6 +22,7 @@ the memory it takes stays flat in the number of samples.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -51,15 +53,28 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+_JSON_NAMES = {bool: "true/false", str: "string", type(None): "null"}
+
+
 def _as_real_array(doc: dict, path: str, field: str, shape) -> np.ndarray:
+    """doc[field] as a finite float array of the given 2-D shape, else ParseError.
+
+    Every entry must be a JSON number: numpy would read true/false as 1/0 and
+    a string such as "1.5" as 1.5.
+    """
     if field not in doc:
         raise ParseError(f"{path}: missing field {field!r}")
     try:
         arr = np.asarray(doc[field], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: field {field!r} is not a numeric array") from exc
     if arr.shape != shape:
         raise ParseError(f"{path}: field {field!r} has shape {arr.shape}, expected {shape}")
+    # the shape test passed, so doc[field] is a list of rows of scalars
+    kinds = set(map(type, itertools.chain.from_iterable(doc[field])))
+    if not kinds <= {int, float}:
+        names = ", ".join(sorted(_JSON_NAMES[kind] for kind in kinds - {int, float}))
+        raise ParseError(f"{path}: field {field!r} has non-numeric entries ({names})")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{path}: field {field!r} contains non-finite entries")
     return arr

@@ -158,8 +158,7 @@ def overline_map(a) -> np.ndarray:
     Multiplicative: overline_map(A @ B) = overline_map(A) @ overline_map(B),
     and unitary A maps to orthogonal overline_map(A).
     """
-    a = as_matrix(a)
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+    return _embedding(as_matrix(a), underline=False)
 
 
 def underline_map(a) -> np.ndarray:
@@ -168,8 +167,25 @@ def underline_map(a) -> np.ndarray:
     Pairs with overline_map: underline_map(A @ B) = overline_map(A) @ underline_map(B)
     and underline_map(A @ conj(B)) = underline_map(A) @ overline_map(B).
     """
-    a = as_matrix(a)
-    return np.block([[a.real, a.imag], [a.imag, -a.real]])
+    return _embedding(as_matrix(a), underline=True)
+
+
+def _embedding(a: np.ndarray, underline: bool) -> np.ndarray:
+    """overline_map or underline_map of a complex (n, m) array, without the gate.
+
+    Fills one (2n, 2m) array block by block, with the bits np.block gives.
+    """
+    n, m = a.shape
+    out = np.empty((2 * n, 2 * m))
+    out[:n, :m] = a.real
+    out[n:, :m] = a.imag
+    if underline:
+        out[:n, m:] = a.imag
+        np.negative(a.real, out=out[n:, m:])
+    else:
+        np.negative(a.imag, out=out[:n, m:])
+        out[n:, m:] = a.real
+    return out
 
 
 def operator_norm(a) -> float:
@@ -314,11 +330,7 @@ def takagi(a) -> TakagiFactorization:
 def _takagi(a: np.ndarray) -> TakagiFactorization:
     """takagi of a matrix already exactly symmetric, without the input test."""
     n = a.shape[0]
-    emb = np.empty((2 * n, 2 * n))  # underline_map(a), without its second gate
-    emb[:n, :n] = a.real
-    emb[n:, n:] = -a.real
-    emb[:n, n:] = emb[n:, :n] = a.imag
-    vals, vecs = np.linalg.eigh(emb)
+    vals, vecs = np.linalg.eigh(_embedding(a, underline=True))
     top = vecs[:, n:][:, ::-1]  # the n largest eigenpairs, descending
     q = np.linalg.qr(top[:n] + 1j * top[n:])[0]
     return TakagiFactorization(q=q, sigma=np.maximum(vals[n:][::-1], 0.0))

@@ -255,6 +255,12 @@ def test_gaussian_mutual_information_guards():
             spec, so.SecondOrderPair(cov=np.eye(1), pcov=np.array([[2.0]])))
 
 
+def test_gaussian_mutual_information_rejects_an_input_of_another_dimension():
+    spec = cap.ChannelSpec(np.eye(2), so.SecondOrderPair.proper(np.eye(2)), 100.0)
+    with pytest.raises(DimensionMismatch, match="channel and input dimensions differ"):
+        cap.gaussian_mutual_information(spec, so.SecondOrderPair.proper(np.eye(3)))
+
+
 def test_gaussian_mutual_information_equals_capacity_at_large_budgets():
     # the solved input's trace meets the budget up to round-off relative to S
     beyond_absolute_slack = 0
@@ -285,4 +291,11 @@ def test_verify_circular_optimality_guards():
     spec = cap.ChannelSpec(h=np.eye(1), noise=improper_noise, power=2.0)
     x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 1000, seed=5)
     with pytest.raises(NoiseNotCircular):
+        cap.verify_circular_optimality(spec, x, seed=1)
+
+
+def test_verify_circular_optimality_rejects_samples_of_another_dimension():
+    spec = cap.ChannelSpec(np.eye(2), so.SecondOrderPair.proper(np.eye(2)), 100.0)
+    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 1000, seed=5)
+    with pytest.raises(DimensionMismatch, match="channel and input dimensions differ"):
         cap.verify_circular_optimality(spec, x, seed=1)

@@ -41,6 +41,10 @@ def test_validate_parse_error(files, tmp_path, capsys):
     bad.write_text('{"n": 1, "m": 1, "re": [[NaN]], "im": [[0.0]]}')
     assert main(["validate", files["C"], str(bad)]) == 1
     assert main(["validate", files["C"], str(tmp_path / "nope.json")]) == 1
+    for entry in ("true", '"0.5"'):
+        bad.write_text('{"n": 1, "m": 1, "re": [[%s]], "im": [[0.0]]}' % entry)
+        assert main(["validate", files["C"], str(bad)]) == 1
+        assert "non-numeric entries" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

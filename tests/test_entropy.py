@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import SCALES
-from improper import analog, entropy, second_order as so, verify
+from improper import analog, entropy, linalg, second_order as so, verify
 from improper.errors import (
     DimensionMismatch,
     DomainError,
@@ -244,26 +244,28 @@ def test_knn_kl_rejects_tied_samples():
         entropy.knn_kl_divergence(a, copies)
 
 
+def _layout_points(rng, count, d, periodic):
+    # periodic: the first half of the coordinates open, the rest on [0, 1)
+    # circles, as divergence_to_analog searches its sheared coordinates
+    if not periodic:
+        return rng.standard_normal((count, d)), None
+    box = np.concatenate([np.zeros(d // 2), np.ones(d - d // 2)])
+    return np.where(box > 0, rng.random((count, d)), rng.standard_normal((count, d))), box
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_kth_distance_matches_plain_query_in_any_order(periodic):
     rng = np.random.default_rng(77)
     count = 600
     for d in range(1, 13):
-        # periodic: the first half of the coordinates open, the rest on [0, 1)
-        # circles, as divergence_to_analog queries its sheared coordinates
-        if periodic:
-            box = np.concatenate([np.zeros(d // 2), np.ones(d - d // 2)])
-            points = np.where(box > 0, rng.random((count, d)), rng.standard_normal((count, d)))
-        else:
-            box = None
-            points = rng.standard_normal((count, d))
+        points, box = _layout_points(rng, count, d, periodic)
         tree = entropy.cKDTree(points, boxsize=box)
         orders = (entropy._spatial_order(points), tree.indices, rng.permutation(count),
                   np.arange(count))
         for k in (1, 4):
             plain = tree.query(points, k=k + 1)[0][:, k]
             for order in orders:
-                got = entropy._kth_distance(tree, points, k + 1, order)
+                got = entropy._kth_distance(tree, points[order], k + 1, order)
                 assert np.array_equal(got, plain), (d, k)
 
 
@@ -289,3 +291,93 @@ def test_entropy_verify_suite_passes():
     results = verify.run_suite("entropy", 2026, 100_000)
     assert len(results) == 11
     assert [r for r in results if not r.passed] == []
+
+
+def _plain_rho(points, k, box=None):
+    """Each point's distance to its k-th nearest other point, from one plain cKDTree query."""
+    return entropy.cKDTree(points, boxsize=box).query(points, k=k + 1)[0][:, k]
+
+
+def _plain_search(points, k, box=None):
+    """(value, stderr, mean log rho, ties) elementwise from _plain_rho."""
+    from scipy.special import digamma
+
+    n, d = points.shape
+    rho = _plain_rho(points, k, box)
+    ties = int(np.count_nonzero(rho == 0.0))
+    if ties:
+        return np.nan, np.nan, np.nan, ties
+    log_rho = np.log(rho)
+    terms = digamma(n) - digamma(k) + entropy._unit_ball_log_volume(d) + d * log_rho
+    return float(terms.mean()), float(terms.std(ddof=1) / np.sqrt(n)), float(log_rho.mean()), 0
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+@pytest.mark.parametrize("d", range(1, 13))
+def test_search_points_has_the_bits_of_a_plain_query_in_every_layout(d, periodic):
+    rng = np.random.default_rng([79, d, periodic])
+    points, box = _layout_points(rng, 3000, d, periodic)
+    tied = np.concatenate([points, np.repeat(points[:7], 4, axis=0)])  # 7 x 5 copies at k = 4
+    for sample, k in ((points, 1), (points, 4), (tied, 4)):
+        # each point's distance, in sample order, and the scalars the search keeps
+        tree, order, rows = entropy._tree(sample, box)
+        assert (rows is None) == (d < entropy._LEAF_ORDER_MIN_DIM)
+        rho = entropy._kth_distance(tree, sample[order] if rows is None else rows, k + 1, order)
+        assert rho.tobytes() == _plain_rho(sample, k, box).tobytes()
+        got = entropy._search_points(sample, k, box)
+        want = _plain_search(sample, k, box)
+        assert (got.count, got.dim) == sample.shape
+        np.testing.assert_array_equal([got.value, got.stderr, got.mean_log_rho, got.ties], want)
+    assert want[3] == 35  # the tied set's search
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_knn_kl_divergence_has_the_bits_of_plain_queries_above_the_crossover(n):
+    assert 2 * n >= entropy._LEAF_ORDER_MIN_DIM
+    p = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(n)), 3000, seed=80)
+    q = so.sample_gaussian(so.SecondOrderPair.proper(2.0 * np.eye(n)), 3500, seed=81)
+    x, y = linalg.real_vector(p.data), linalg.real_vector(q.data)
+    mean_log_rho = _plain_search(x, 4)[2]
+    nu = entropy.cKDTree(y).query(x, k=4)[0][:, 3]
+    want = 2 * n * (float(np.log(nu).mean()) - mean_log_rho) + np.log(3500 / 2999)
+    assert want > 0.1
+    assert entropy.knn_kl_divergence(p, q) == want
+
+
+def _counting_tree(monkeypatch, leaf_order=True):
+    """Make the estimators build with a kd-tree class that records each build's
+    (size, leaf size) and each query's size; it exposes the wrapped tree's
+    leaf order only when leaf_order. Returns (builds, queried)."""
+    from scipy.spatial import cKDTree
+
+    builds, queried = [], []
+
+    class Tree:
+        def __init__(self, data, leafsize=16, boxsize=None):
+            builds.append((len(data), leafsize))
+            self._tree = cKDTree(data, leafsize, boxsize=boxsize)
+            if leaf_order:
+                self.indices = self._tree.indices
+
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return self._tree.query(x, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "cKDTree", Tree)
+    return builds, queried
+
+
+@pytest.mark.parametrize("leaf_order", [True, False], ids=["indices", "build-and-query"])
+def test_a_set_above_the_crossover_is_queried_once_per_k(monkeypatch, leaf_order):
+    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(4)), 2000, seed=82)
+    builds, queried = _counting_tree(monkeypatch, leaf_order)
+    first = entropy.knn_entropy(x)
+    assert entropy.knn_entropy(x) == first
+    entropy.knn_entropy(x, k=2)
+    # a tree class without indices keeps the one tree and the Z-order query
+    search = [(2000, 16), (2000, entropy._LEAF_ORDER_LEAFSIZE)] if leaf_order else [(2000, 16)]
+    assert builds == 2 * search
+    assert queried == [2000, 2000]
+    value, stderr, _, _ = _plain_search(linalg.real_vector(x.data), 4)
+    assert (first.value, first.stderr) == (value, stderr)
+

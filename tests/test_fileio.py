@@ -160,3 +160,35 @@ def test_read_samples_holds_a_read_only_array_and_writes_the_seed_it_was_given(t
     assert not back.data.flags.writeable
     assert back.seed == 4 and type(back.seed) is int
     assert json.loads(path.read_text())["seed"] == 4
+
+
+NON_NUMERIC = {
+    "true/false": ([[True, 1.5]], [[0, 0.25]]),
+    "string": ([[1, 1.5]], [[0, "0.25"]]),
+    "null": ([[1.0, 1.5]], [[None, 0.25]]),
+    "true/false, string": ([[True, 1.5]], [[0, "0.25"]]),
+}
+
+
+@pytest.mark.parametrize("kinds", NON_NUMERIC)
+def test_readers_reject_entries_that_are_not_json_numbers(tmp_path, kinds):
+    re, im = NON_NUMERIC[kinds]
+    docs = {fileio.read_matrix: {"n": 1, "m": 2, "re": re, "im": im},
+            fileio.read_samples: {"n": 2, "count": 1, "seed": 0, "re": re, "im": im}}
+    field = "'re'" if kinds.startswith("true") else "'im'"
+    for read, doc in docs.items():
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(fileio.ParseError, match=f"{field} has non-numeric entries"):
+            read(path)
+    both = {"n": 1, "m": 2, "re": [[False, "1"]], "im": [[0, 0]]}
+    path.write_text(json.dumps(both))
+    with pytest.raises(fileio.ParseError, match=r"\(string, true/false\)"):
+        fileio.read_matrix(path)
+
+
+def test_read_matrix_rejects_an_integer_beyond_float_range(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "m": 1, "re": [[1%s]], "im": [[0]]}' % ("0" * 400))
+    with pytest.raises(fileio.ParseError, match="not a numeric array"):
+        fileio.read_matrix(path)

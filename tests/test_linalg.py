@@ -23,6 +23,19 @@ def test_overline_scalar_blocks():
     np.testing.assert_array_equal(linalg.underline_map(a), [[1.0, 2.0], [2.0, -1.0]])
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_embeddings_equal_the_block_construction_byte_for_byte(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a[0, 0] = complex(-0.0, 0.0)  # signed zeros keep their sign through the fill
+    for b in (a, a[:, : max(1, n // 2)]):
+        over = np.block([[b.real, -b.imag], [b.imag, b.real]])
+        under = np.block([[b.real, b.imag], [b.imag, -b.real]])
+        for got, want in ((linalg.overline_map(b), over), (linalg.underline_map(b), under)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_overline_respects_products():
     rng = np.random.default_rng(11)
     for _ in range(20):
