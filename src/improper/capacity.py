@@ -147,7 +147,7 @@ def check_assumptions(spec: ChannelSpec) -> list[Violation]:
     Empty list = admissible: H non-singular, noise zero-mean with valid
     non-singular (C_z, P_z), every noise circularity coefficient strictly
     below 1, and the high-SNR condition S >= 2n * ||H^-1 C_z H^-H||_2
-    (boundary included). Read from the spec's cached solve.
+    (boundary included) with S > 0. Read from the spec's cached solve.
     """
     return list(spec.factors.violations)
 
@@ -182,7 +182,9 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     g = h_inv @ spec.noise.cov @ h_inv.conj().T  # the noise referred to the input
     g = 0.5 * (g + g.conj().T)
     thr = 2.0 * spec.dim * linalg.operator_norm(g)
-    if spec.power + linalg.EIG_RTOL * thr < thr:
+    # C_z is non-singular here, so S = 0 is below every true threshold, also
+    # where H^-1 C_z H^-H underflows to 0 and thr reads 0
+    if spec.power == 0.0 or spec.power + linalg.EIG_RTOL * thr < thr:
         out.append(Violation(HIGH_SNR, float(spec.power), float(thr),
                              "power below the high-SNR threshold 2n||H^-1 C_z H^-H||"))
     if out:

@@ -38,14 +38,33 @@ test-suite are frozen there.
 The kd-tree query dominates their cost, so each sample set is searched
 once per k. A SampleSet holds a sealed array, and the first estimator
 that needs the k-th neighbor distances of a set within itself searches the
-set: one tree build (two builds above the crossover described below), one
-query of each point, and only scalars cached on the set: N, d, the tie
-count, the Kozachenko-Leonenko value and stderr, and the mean log distance.
+set: one tree build, two from d = 8 (a search at d = 1, which only
+divergence_to_analog makes, builds none; see the bands below), one answer
+for each point, and only scalars cached on the set: N, d, the tie count,
+the Kozachenko-Leonenko value and stderr, and the mean log distance.
 knn_entropy returns that value; knn_kl_divergence is the difference of two
 means, d (mean log nu - mean log rho) + log(M / (N - 1)), so it adds only
 q's tree and the query of p's points into it; analog_entropy_gap reads
 h(x) through knn_entropy. Keeping the N distances instead would hold a
 large array for the lifetime of the set.
+
+Only the distance step of a search depends on the real dimension d of its
+points, in three bands; the tie count, the logarithm and the terms are
+computed once, for every d, by _search_points:
+
+* d = 1 with no period (divergence_to_analog's reduced coordinate at n = 1,
+  the modulus alone): no tree. The values are sorted once (a stable
+  argsort), and the k-th nearest other value of sorted value i is min over
+  j = 0..k of max(L_j, R_(k-j)), L_j and R_j the distances to the j-th
+  value on its left and on its right (L_0 = R_0 = 0, inf past the ends).
+  A distance is sqrt(diff * diff), as cKDTree computes it, not |diff|:
+  where diff**2 underflows to 0 cKDTree reports a tie, and where it
+  overflows it reports inf, so |diff| would change ties and values. A
+  class put in the module's cKDTree is not consulted in this band.
+* d = 2 (and a periodic d = 1): one tree with sliding-midpoint splits
+  (balanced_tree=False, compact_nodes=False), not scipy's median splits.
+* d >= 3: scipy's default tree, below the crossover at d = 8 described
+  below, and the leaf-ordered copy from d = 8 up.
 
 Every tree the estimators query comes from one function, _tree. Each query
 asks for the k-th neighbor distance alone, and the points are visited in
@@ -56,9 +75,9 @@ query of p's points into q's tree, or a self-search by a tree class
 without ``indices``, along a Z-order (Morton) curve through the points'
 bounding box. The distances are scattered back to row order.
 
-The layout of a tree's points depends on the real dimension d. Below the
-crossover, d < _LEAF_ORDER_MIN_DIM = 8, the tree is built once over the
-points as given, with cKDTree's default 16-point leaves. From d = 8 up, a
+The layout of a tree's points depends on d too. Below the crossover,
+d < _LEAF_ORDER_MIN_DIM = 8, the tree is built once over the points as
+given, with cKDTree's default 16-point leaves. From d = 8 up, a
 first tree is built only to read its leaf order and then dropped; the
 points are copied into that order, and the tree queried is built over the
 copy with _LEAF_ORDER_LEAFSIZE = 32-point leaves, so each leaf is a
@@ -94,6 +113,32 @@ every row. In one run at d = 8 (N = 100000) and d = 10 (N = 25000), copies
 with 16-point leaves gained -12% and -8%, with 32-point leaves -24% and
 -28%, and with 64-point leaves -26% and -23%.
 
+The sort at d = 1 and the sliding-midpoint band at d <= _MIDPOINT_MAX_DIM
+= 2 come from this table: one self-search (build and query, k = 4) of N =
+100000 points, median of nine alternating runs, in ms, on the same 2
+cores. The d = 1 and d = 2 rows are the sets the verify suites draw; the
+mixture is the entropy suite's two improper Gaussians, BPSK goes through
+the capacity suite's CN(0, 1) noise, and "circularized" sets have uniform
+phases.
+
+   d  points                               scipy's tree  new
+   1  open (the modulus)                        133        20  (-85%, sorted)
+   2  open (proper Gaussian)                    143       121  (-16%)
+   2  open (improper Gaussian)                  139       116  (-17%)
+   2  open (mixture)                            130       112  (-14%)
+   2  open (circularized mixture)               126       112  (-11%)
+   2  open (BPSK through noise)                 128       111  (-13%)
+   2  open (circularized BPSK through noise)    126       109  (-13%)
+   2  periodic (n = 1 sheared)                  154       142   (-8%)
+   3  periodic (n = 2 sheared)                  261       243   (-7%)
+   4  open                                      296       279   (-6%)
+
+The d = 3 and d = 4 rows show midpoint splits, which are not used there:
+an earlier run read them level at d = 3 (248 -> 242) and 7% slower at
+d = 4 (252 -> 270), so the band stops at d = 2, where every row of both
+runs gained. In the earlier run, leaf sizes 8 and 32 were no better at
+d = 2.
+
 A k-th neighbor distance of 0 (k or more other points at the very same
 place) has no logarithm: the estimators raise TiedSamples, which counts
 the tied points, instead of returning a meaningless value.
@@ -102,7 +147,8 @@ Only the estimators need scipy (cKDTree, digamma, gammaln), and they load
 it on first use: the closed forms, and every module that imports them, run
 on numpy alone. The module attribute ``cKDTree`` still resolves to
 scipy.spatial.cKDTree (loaded on first access), and the estimators build
-their trees with whatever that attribute holds when they are called.
+their trees with whatever that attribute holds when they are called; a
+search at d = 1 with no period builds none.
 """
 
 from __future__ import annotations
@@ -120,8 +166,10 @@ KNN_ESTIMATE = "KNN_ESTIMATE"
 
 DEFAULT_K = 4
 
-# _tree's crossover (a real dimension) and leaf size, from the table in the
-# module docstring
+# _tree's bands of real dimension d and the leaf size of its copies, from
+# the tables in the module docstring: sliding-midpoint splits up to d = 2,
+# scipy's default median splits from 3, a leaf-ordered copy from 8
+_MIDPOINT_MAX_DIM = 2
 _LEAF_ORDER_MIN_DIM = 8
 _LEAF_ORDER_LEAFSIZE = 32
 
@@ -229,8 +277,10 @@ def _tree(points: np.ndarray, boxsize=None):
     """(tree, order, rows): the kd-tree the estimators query over points.
 
     Every tree the estimators build comes from here, made by the module's
-    cKDTree. order is the leaf order (``indices``) of the tree built over
-    points, or None for a tree class without ``indices``. Below
+    cKDTree, with sliding-midpoint splits up to _MIDPOINT_MAX_DIM real
+    dimensions and scipy's default ones above. order is the leaf order
+    (``indices``) of the tree built over points, or None for a tree class
+    without ``indices``. Below
     _LEAF_ORDER_MIN_DIM real dimensions, or for such a class, that tree is
     returned and rows is None. From _LEAF_ORDER_MIN_DIM up it only gives
     the order: rows is the copy points[order], and the tree returned is
@@ -238,7 +288,9 @@ def _tree(points: np.ndarray, boxsize=None):
     reads a contiguous run of rows. Which tree finds a k-th neighbor
     distance does not change its bits.
     """
-    tree = _kdtree()(points, boxsize=boxsize)
+    split = ({"balanced_tree": False, "compact_nodes": False}
+             if points.shape[1] <= _MIDPOINT_MAX_DIM else {})
+    tree = _kdtree()(points, boxsize=boxsize, **split)
     order = getattr(tree, "indices", None)
     if order is None or points.shape[1] < _LEAF_ORDER_MIN_DIM:
         return tree, order, None
@@ -256,6 +308,47 @@ def _kth_distance(tree, rows: np.ndarray, k: int, order: np.ndarray) -> np.ndarr
     dist = np.empty(rows.shape[0])
     dist[order] = tree.query(rows, k=[k], workers=-1)[0][:, 0]
     return dist
+
+
+def _sorted_kth_distance(values: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each of the 1-D values to its k-th nearest other value (k >= 1).
+
+    The sorted search of the module docstring: min over j = 0..k of
+    max(L_j, R_(k-j)) in sorted order, with -inf and +inf padding past the
+    ends, scattered back to the values' order. The min and max are taken
+    over the squared differences and sqrt is monotone, so one sqrt at the
+    end gives the bits of cKDTree's sqrt(diff * diff).
+    """
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    pad = np.full(k, np.inf)
+    padded = np.concatenate([-pad, v, pad])
+    kth = np.full(n, np.inf)
+    with np.errstate(over="ignore"):  # diff**2 beyond float range is inf, as in cKDTree
+        for j in range(k + 1):
+            left = v - padded[k - j:k - j + n]
+            right = padded[2 * k - j:2 * k - j + n] - v
+            np.minimum(kth, np.maximum(left * left, right * right), out=kth)
+    dist = np.empty(n)
+    dist[order] = np.sqrt(kth)
+    return dist
+
+
+def _kth_other_distance(points: np.ndarray, k: int, boxsize=None) -> np.ndarray:
+    """Distance from each point to its k-th nearest other point, in point order.
+
+    At d = 1 with no period a sort answers it (_sorted_kth_distance) and no
+    tree is built. Otherwise the points' tree (_tree) answers one (k+1)-th
+    neighbor query of every point: the nearest neighbor of a point is the
+    point itself.
+    """
+    if points.shape[1] == 1 and boxsize is None:
+        return _sorted_kth_distance(points[:, 0], k)
+    tree, order, rows = _tree(points, boxsize)
+    if order is None:  # a tree class need only build and query: visit in Z-order
+        order = _spatial_order(points)
+    return _kth_distance(tree, points[order] if rows is None else rows, k + 1, order)
 
 
 def _knn_guard(k, *sample_sets) -> None:
@@ -297,20 +390,16 @@ class _SelfSearch:
 
 
 def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
-    """The points' tree (_tree) and one (k+1)-th neighbor query of every row.
+    """Each row's distance rho to its k-th nearest other row (_kth_other_distance),
+    reduced to the scalars of a _SelfSearch.
 
-    The nearest neighbor of a row is the row itself, so the distance found
-    is to its k-th nearest other row. boxsize follows cKDTree: per-dimension
-    period, 0 = not periodic.
+    boxsize follows cKDTree: per-dimension period, 0 = not periodic.
     """
     from scipy.special import digamma
 
     points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
-    tree, order, rows = _tree(points, boxsize)
-    if order is None:  # a tree class need only build and query: visit in Z-order
-        order = _spatial_order(points)
-    rho = _kth_distance(tree, points[order] if rows is None else rows, k + 1, order)
+    rho = _kth_other_distance(points, k, boxsize)
     ties = int(np.count_nonzero(rho == 0.0))
     if ties:
         return _SelfSearch(n, d, ties)

@@ -156,6 +156,20 @@ def test_capacity_raises_on_violations():
         assert cap.HIGH_SNR in str(err.value)
 
 
+def test_a_zero_power_budget_is_below_the_threshold_even_where_it_underflows():
+    # H^-1 C_z H^-H = 1e-340 underflows to 0, so the threshold reads 0
+    def spec(power):
+        return cap.ChannelSpec(h=[[1e170]], noise=so.SecondOrderPair.proper(np.eye(1)),
+                               power=power)
+
+    assert [v.name for v in cap.check_assumptions(spec(0.0))] == [cap.HIGH_SNR]
+    with pytest.raises(AssumptionViolated) as err:
+        cap.solve_capacity(spec(0.0))
+    assert [v.name for v in err.value.violations] == [cap.HIGH_SNR]
+    # a positive budget on the same channel is still solved: log(S |h|^2 / C_z)
+    assert cap.solve_capacity(spec(1e-300)).capacity_nats == 92.10340371976191
+
+
 def test_solved_input_respects_budget_and_validity():
     rng = np.random.default_rng(101)
     for _ in range(20):

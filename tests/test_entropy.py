@@ -4,6 +4,7 @@ import pytest
 from conftest import SCALES
 from improper import analog, entropy, linalg, second_order as so, verify
 from improper.errors import (
+    DegenerateConditional,
     DimensionMismatch,
     DomainError,
     InvalidPair,
@@ -320,9 +321,8 @@ def test_search_points_has_the_bits_of_a_plain_query_in_every_layout(d, periodic
     tied = np.concatenate([points, np.repeat(points[:7], 4, axis=0)])  # 7 x 5 copies at k = 4
     for sample, k in ((points, 1), (points, 4), (tied, 4)):
         # each point's distance, in sample order, and the scalars the search keeps
-        tree, order, rows = entropy._tree(sample, box)
-        assert (rows is None) == (d < entropy._LEAF_ORDER_MIN_DIM)
-        rho = entropy._kth_distance(tree, sample[order] if rows is None else rows, k + 1, order)
+        assert (entropy._tree(sample, box)[2] is None) == (d < entropy._LEAF_ORDER_MIN_DIM)
+        rho = entropy._kth_other_distance(sample, k, box)
         assert rho.tobytes() == _plain_rho(sample, k, box).tobytes()
         got = entropy._search_points(sample, k, box)
         want = _plain_search(sample, k, box)
@@ -331,9 +331,56 @@ def test_search_points_has_the_bits_of_a_plain_query_in_every_layout(d, periodic
     assert want[3] == 35  # the tied set's search
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_knn_kl_divergence_has_the_bits_of_plain_queries_above_the_crossover(n):
-    assert 2 * n >= entropy._LEAF_ORDER_MIN_DIM
+SORTED_SETS = {
+    "gaussian": lambda rng: rng.standard_normal(3000),
+    # up to 6 copies of a value: ties up to k = 5
+    "repeats": lambda rng: np.repeat(rng.standard_normal(600), rng.integers(1, 7, 600)),
+    # |x| from 1e-170 to 1e200: diff**2 underflows to 0 (a tie) and overflows to inf
+    "extreme": lambda rng: rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-170, 200, 3000),
+}
+
+
+@pytest.mark.parametrize("name", SORTED_SETS)
+def test_sorted_search_has_the_bits_of_a_plain_query(name):
+    values = SORTED_SETS[name](np.random.default_rng([83, list(SORTED_SETS).index(name)]))
+    points = values[:, None]
+    ties = []
+    for k in range(1, 9):
+        assert entropy._sorted_kth_distance(values, k).tobytes() == _plain_rho(points, k).tobytes()
+        got = entropy._search_points(points, k)
+        want = _plain_search(points, k)
+        np.testing.assert_array_equal([got.value, got.stderr, got.mean_log_rho, got.ties], want)
+        if got.ties:
+            with pytest.raises(TiedSamples, match=f"^{got.ties} of {values.size} points tied"):
+                entropy._knn_entropy_points(points, k)
+        ties.append(got.ties)
+    assert (name == "gaussian") == (max(ties) == 0)
+    if name == "repeats":
+        assert ties[4] > 0 and max(ties[5:]) == 0
+
+
+def test_divergence_to_analog_at_n_1_has_the_bits_of_plain_queries():
+    x = so.sample_gaussian(scalar_pair(0.8), 3000, seed=84)
+    coords = analog._sheared_coordinates(x)
+    h_joint = _plain_search(coords, 4, np.array([0.0, 1.0]))[0]
+    h_reduced = _plain_search(coords[:, :1], 4)[0]
+    assert analog.divergence_to_analog(x) == max(0.0, h_reduced - h_joint) > 0.1
+
+
+def test_a_degenerate_radius_names_the_ties_of_a_plain_query():
+    rng = np.random.default_rng(85)
+    ring = so.SampleSet(data=np.exp(2j * np.pi * rng.random(2000))[:, None], seed=0)
+    ties = _plain_search(analog._sheared_coordinates(ring)[:, :1], 4)[3]
+    assert ties > 0
+    with pytest.raises(DegenerateConditional) as info:
+        analog.divergence_to_analog(ring)
+    assert str(info.value) == (
+        f"reduced representation is degenerate ({ties} of 2000 points tied: k-th neighbor "
+        "distance (k=4) is 0); the phase distribution appears to be a point mass")
+
+
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_knn_kl_divergence_has_the_bits_of_plain_queries(n):
     p = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(n)), 3000, seed=80)
     q = so.sample_gaussian(so.SecondOrderPair.proper(2.0 * np.eye(n)), 3500, seed=81)
     x, y = linalg.real_vector(p.data), linalg.real_vector(q.data)
@@ -346,16 +393,16 @@ def test_knn_kl_divergence_has_the_bits_of_plain_queries_above_the_crossover(n):
 
 def _counting_tree(monkeypatch, leaf_order=True):
     """Make the estimators build with a kd-tree class that records each build's
-    (size, leaf size) and each query's size; it exposes the wrapped tree's
-    leaf order only when leaf_order. Returns (builds, queried)."""
+    (size, leaf size, other keywords) and each query's size; it exposes the
+    wrapped tree's leaf order only when leaf_order. Returns (builds, queried)."""
     from scipy.spatial import cKDTree
 
     builds, queried = [], []
 
     class Tree:
-        def __init__(self, data, leafsize=16, boxsize=None):
-            builds.append((len(data), leafsize))
-            self._tree = cKDTree(data, leafsize, boxsize=boxsize)
+        def __init__(self, data, leafsize=16, boxsize=None, **kwargs):
+            builds.append((len(data), leafsize, kwargs))
+            self._tree = cKDTree(data, leafsize, boxsize=boxsize, **kwargs)
             if leaf_order:
                 self.indices = self._tree.indices
 
@@ -375,9 +422,26 @@ def test_a_set_above_the_crossover_is_queried_once_per_k(monkeypatch, leaf_order
     assert entropy.knn_entropy(x) == first
     entropy.knn_entropy(x, k=2)
     # a tree class without indices keeps the one tree and the Z-order query
-    search = [(2000, 16), (2000, entropy._LEAF_ORDER_LEAFSIZE)] if leaf_order else [(2000, 16)]
+    search = ([(2000, 16, {}), (2000, entropy._LEAF_ORDER_LEAFSIZE, {})] if leaf_order
+              else [(2000, 16, {})])
     assert builds == 2 * search
     assert queried == [2000, 2000]
     value, stderr, _, _ = _plain_search(linalg.real_vector(x.data), 4)
     assert (first.value, first.stderr) == (value, stderr)
 
+
+def test_a_d_1_search_builds_no_tree_and_a_d_2_set_one_midpoint_tree_per_k(monkeypatch):
+    builds, queried = _counting_tree(monkeypatch)
+    x = so.sample_gaussian(scalar_pair(0.8), 2000, seed=86)
+    entropy._search_points(linalg.real_vector(x.data)[:, :1], 4)
+    assert builds == queried == []
+    first = entropy.knn_entropy(x)
+    assert entropy.knn_entropy(x) == first
+    entropy.knn_entropy(x, k=2)
+    midpoint = {"balanced_tree": False, "compact_nodes": False}
+    assert builds == 2 * [(2000, 16, midpoint)]
+    assert queried == [2000, 2000]
+    # the joint sheared coordinates are searched with a tree, the modulus by a sort
+    builds.clear()
+    analog.divergence_to_analog(x)
+    assert builds == [(2000, 16, midpoint)]

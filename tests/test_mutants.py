@@ -45,6 +45,11 @@ MUTANTS = {
         "terms = digamma(n) - digamma(k) + _unit_ball_log_volume(d) + d * log_rho",
         "terms = digamma(n) - digamma(k + 1) + _unit_ball_log_volume(d) + d * log_rho",
         ("circular Gaussian kNN entropy",), 1, 20_000),
+    "sorted-search-window-off-by-one": Mutant(
+        entropy, "_sorted_kth_distance",
+        "right = padded[2 * k - j:2 * k - j + n] - v",
+        "right = padded[2 * k - j - 1:2 * k - j - 1 + n] - v",
+        ("improper Gaussian divergence",), 1, 20_000),
     "input-pcov-zero": Mutant(
         capacity, "_factor_channel",
         "p_x = -h_inv @ spec.noise.pcov @ h_inv.T",
