@@ -163,6 +163,10 @@ def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) ->
     its entropy estimate is -infinity while the joint stays finite. It is
     also raised when the estimate plunges far below 0 without exact ties.
     Ties in the full representation (repeated samples) raise TiedSamples.
+
+    Unlike knn_entropy and knn_kl_divergence, this estimate does not rescale
+    samples of extreme magnitude to a power-of-two scale: the radii and the
+    phases share no unit, and the phases live on fixed [0, 1) circles.
     """
     _knn_guard(k, samples)
     n = samples.n

@@ -139,6 +139,17 @@ d = 4 (252 -> 270), so the band stops at d = 2, where every row of both
 runs gained. In the earlier run, leaf sizes 8 and 32 were no better at
 d = 2.
 
+cKDTree and the sorted search compare squared distances, which overflow
+to inf above about 1e154 and lose bits below about 1e-154 (1000 points
+scaled by 1e160 would read an entropy of inf, and by 1e-170 all tie). So
+a sample set whose largest |coordinate| has a binary exponent s beyond
++-_SCALE_EXP = 256 is searched at 2^-s times its points, an exact scaling,
+and the shift is added back: d s log 2 to the value and s log 2 to the mean
+log distance. knn_kl_divergence's query of p's points into q's tree takes
+one s from both sets. Sets within that range are searched as given, bit
+for bit. divergence_to_analog does not rescale: its radii and phases share
+no unit, and a phase on [0, 1) cannot be rescaled.
+
 A k-th neighbor distance of 0 (k or more other points at the very same
 place) has no logarithm: the estimators raise TiedSamples, which counts
 the tied points, instead of returning a meaningless value.
@@ -153,7 +164,7 @@ search at d = 1 with no period builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,6 +183,9 @@ DEFAULT_K = 4
 _MIDPOINT_MAX_DIM = 2
 _LEAF_ORDER_MIN_DIM = 8
 _LEAF_ORDER_LEAFSIZE = 32
+# binary exponent of the largest |coordinate| beyond which a search runs on
+# points scaled by a power of two (the module docstring)
+_SCALE_EXP = 256
 
 
 @dataclass(frozen=True)
@@ -409,11 +423,32 @@ def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
                        float(log_rho.mean()))
 
 
+def _scale_exponent(*point_sets: np.ndarray) -> int:
+    """s with 2^(s-1) <= the largest |coordinate| < 2^s when |s| > _SCALE_EXP, else 0.
+
+    Points times 2^-s have their largest |coordinate| in [1/2, 1); the
+    scaling is exact, and np.ldexp(points, -s) computes it.
+    """
+    s = int(np.frexp(max(float(np.abs(points).max()) for points in point_sets))[1])
+    return s if abs(s) > _SCALE_EXP else 0
+
+
 def _self_search(samples: second_order.SampleSet, k: int) -> _SelfSearch:
-    """The set's search for k, over its real representation; cached on the set on first use."""
+    """The set's search for k, over its real representation; cached on the set on first use.
+
+    Points beyond the exponent range of _scale_exponent are searched at
+    2^-s times their size, and the shift added back (the module docstring).
+    """
     found = samples._searches.get(k)
     if found is None:
-        found = samples._searches[k] = _search_points(linalg.real_vector(samples.data), k)
+        points = linalg.real_vector(samples.data)
+        s = _scale_exponent(points)
+        found = _search_points(np.ldexp(points, -s) if s else points, k)
+        if s:
+            shift = s * np.log(2.0)
+            found = replace(found, value=found.value + found.dim * shift,
+                            mean_log_rho=found.mean_log_rho + shift)
+        samples._searches[k] = found
     return found
 
 
@@ -450,17 +485,22 @@ def knn_kl_divergence(
     For each p-point, compares the k-th neighbor distance within the p-sample
     (self excluded) against the k-th neighbor distance into the q-sample:
     D-hat = d (mean log nu - mean log rho) + log(M / (N - 1)). mean log rho
-    is read from p's cached search for k; only q's tree is built here.
+    is read from p's cached search for k; only q's tree is built here. The
+    query takes one power-of-two scale for p and q (the module docstring).
     Raises TiedSamples when either distance is 0 for some p-point.
     """
     if p_samples.n != q_samples.n:
         raise DimensionMismatch("sample sets must share the dimension")
     _knn_guard(k, p_samples, q_samples)
     search = _self_search(p_samples, k).untied(f"k-th neighbor distance within p (k={k})")
-    x = linalg.real_vector(p_samples.data)
+    x, y = linalg.real_vector(p_samples.data), linalg.real_vector(q_samples.data)
+    s = _scale_exponent(x, y)
+    if s:
+        x, y = np.ldexp(x, -s), np.ldexp(y, -s)
     order = _spatial_order(x)
-    nu = _kth_distance(_tree(linalg.real_vector(q_samples.data))[0], x[order], k, order)
+    nu = _kth_distance(_tree(y)[0], x[order], k, order)
     _check_ties(nu, f"k-th neighbor distance into q (k={k})")
-    est = (search.dim * (float(np.log(nu).mean()) - search.mean_log_rho)
+    mean_log_nu = float(np.log(nu).mean()) + s * np.log(2.0)
+    est = (search.dim * (mean_log_nu - search.mean_log_rho)
            + np.log(q_samples.count / (search.count - 1)))
     return max(0.0, float(est))

@@ -18,12 +18,34 @@ values are streamed: _ROW_BLOCK rows at a time go through float repr (the
 formatting json itself uses) and straight to the file. json's indented
 encoder is pure Python, so this is what keeps a large sample file fast, and
 the memory it takes stays flat in the number of samples.
+
+Float repr is most of a large write, and no faster exact formatter exists,
+so a document whose streamed arrays hold at least _SPLIT_MIN_FLOATS floats
+in all, in two arrays or more (a sample file from 2^14 floats, never a
+matrix file or a report), is formatted by two processes at once. Before
+anything is written, the writer opens an anonymous spill file in the
+output file's directory and forks; the child formats the last streamed
+array (a sample file's "im") into the spill and leaves by os._exit, while
+the parent writes everything before that array, reaps the child and copies
+the spill into the output. Each process writes a block of rows at a time,
+so neither holds the text. The bytes do not depend on the route: without
+os.fork, when the fork or the spill fails with OSError, or when the child
+exits non-zero or dies, the parent formats that array itself. On any
+exception in the parent, KeyboardInterrupt included, the child is killed
+and reaped, and the spill has no name to leave behind. Python 3.12 and
+later warn (DeprecationWarning) on a fork from a process with several
+threads, which numpy's OpenBLAS starts; the child calls no BLAS, prints
+nothing and flushes no buffer it inherited.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -89,6 +111,9 @@ def _int_field(doc: dict, path: str, field: str, low: int = 1, default=None) -> 
 
 
 _ROW_BLOCK = 2048  # rows formatted per write by _write_rows
+# floats in a document's streamed arrays from which a forked child formats
+# the last of them: the measured break-even of CHANGES.md
+_SPLIT_MIN_FLOATS = 1 << 14
 
 
 def _streamable(value) -> bool:
@@ -110,23 +135,86 @@ def _write_rows(fh, a: np.ndarray) -> None:
     fh.write("\n    ]\n  ]")
 
 
+def _fork_rows(path: str, a: np.ndarray):
+    """(spill, pid): a forked child writing _write_rows(a) into spill, then exiting 0.
+
+    spill is an anonymous file opened in path's directory before the fork.
+    (None, None) where this platform cannot fork, or where the spill or the
+    fork fails with OSError. The child leaves only through os._exit.
+    """
+    if not hasattr(os, "fork"):
+        return None, None
+    try:
+        spill = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        spill.close()
+        return None, None
+    if pid:
+        return spill, pid
+    code = 1
+    try:
+        with open(spill.fileno(), "w", encoding="utf-8", closefd=False) as out:
+            _write_rows(out, a)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int) -> bool:
+    """Wait for the child pid: True when it exited 0. False when it did not,
+    or when its exit code is gone (with SIGCHLD ignored the system reaps it)."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    except ChildProcessError:
+        return False
+
+
 def _write_json(path: str, doc: dict) -> None:
     """json.dump(doc, fh, indent=2) plus a newline, byte for byte, for a dict with str keys.
 
     _streamable arrays among the values are written by _write_rows, any other
     array as its tolist() and every other value by json.dumps, re-indented.
+    When two streamed arrays or more hold _SPLIT_MIN_FLOATS floats in all, a
+    forked child formats the last of them (the module docstring).
     """
+    streamed = [key for key, value in doc.items() if _streamable(value)]
+    split = None
+    if len(streamed) > 1 and sum(doc[key].size for key in streamed) >= _SPLIT_MIN_FLOATS:
+        split = streamed[-1]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
-        for i, (key, value) in enumerate(doc.items()):
-            fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
-            if _streamable(value):
-                _write_rows(fh, value)
-                continue
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
-        fh.write("\n}\n" if doc else "}\n")
+        spill, pid = _fork_rows(path, doc[split]) if split is not None else (None, None)
+        try:
+            fh.write("{")
+            for i, (key, value) in enumerate(doc.items()):
+                fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
+                if key == split and pid:
+                    done = _reap(pid)
+                    pid = None
+                    if done:
+                        fh.flush()
+                        spill.seek(0)
+                        shutil.copyfileobj(spill, fh.buffer)
+                        continue
+                if key in streamed:
+                    _write_rows(fh, value)
+                    continue
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            fh.write("\n}\n" if doc else "}\n")
+        finally:
+            if pid:
+                import signal  # here only: the module costs a cold start about 1 ms
+
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                _reap(pid)
+            if spill is not None:
+                spill.close()
 
 
 def read_matrix(path: str) -> np.ndarray:

@@ -5,8 +5,12 @@ prints them at the end of the run so every criterion shows a visible
 PASS/FAIL verdict with its measured numbers.
 
 Every test starts with empty factorization memos (linalg._memo), so no
-factorization count and no mutant depends on which tests ran before it.
+factorization count and no mutant depends on which tests ran before it,
+and fails if it leaves a child process behind, live or unreaped (the
+sample-file writer forks one).
 """
+
+import os
 
 import pytest
 
@@ -23,6 +27,16 @@ SCALES = [1e-200, 1e-160, 1e-150, 1e-100, 1e-30, 1e-12,
 def _empty_memos():
     for memo in linalg._MEMOS:
         memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid: {left})")
 
 
 def record_criterion(num, passed, detail):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -195,6 +196,21 @@ def test_analog_sample_writes_samples(files, tmp_path, capsys):
     assert p_hat <= 5.0 / np.sqrt(2000)
     doc = json.loads((out_dir / "analog_samples.json").read_text())
     assert doc["manifest"]["seed"] == 9
+
+
+def test_analog_sample_file_is_json_dump_of_its_own_content(tmp_path, capsys):
+    # n = 16 and 20000 samples: the split write, a forked child formatting "im"
+    fc, fp = str(tmp_path / "C.json"), str(tmp_path / "P.json")
+    fileio.write_matrix(fc, np.eye(16))
+    fileio.write_matrix(fp, np.diag(np.linspace(0.0, 0.9, 16)))
+    out_dir = tmp_path / "out"
+    assert main(["analog-sample", fc, fp, "--samples", "20000", "--seed", "5",
+                 "--output", str(out_dir)]) == 0
+    text = (out_dir / "analog_samples.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert list(doc) == ["n", "count", "seed", "re", "im", "manifest"]
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert os.listdir(out_dir) == ["analog_samples.json"]
 
 
 def test_analog_sample_rejected_run_writes_no_file(files, tmp_path, capsys):

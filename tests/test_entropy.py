@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,26 @@ def test_knn_kl_rejects_tied_samples():
     copies = so.SampleSet(data=np.repeat(a.data, 4, axis=0), seed=0)
     with pytest.raises(TiedSamples, match="1000 of 1000 points tied.*into q"):
         entropy.knn_kl_divergence(a, copies)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+def test_knn_estimates_shift_exactly_at_extreme_scales(scale):
+    # squared distances overflow beyond about 1e154 and lose bits below 1e-154:
+    # unscaled, these read inf, 1.4e-3 off and TiedSamples
+    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(2)), 1000, seed=86)
+    p = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 2000, seed=87)
+    q = so.sample_gaussian(so.SecondOrderPair.proper(2.0 * np.eye(1)), 2000, seed=88)
+    h, d = entropy.knn_entropy(x), entropy.knn_kl_divergence(p, q)
+    assert d > 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_scaled = entropy.knn_entropy(so.SampleSet(data=scale * x.data, seed=0))
+        d_scaled = entropy.knn_kl_divergence(so.SampleSet(data=scale * p.data, seed=0),
+                                             so.SampleSet(data=scale * q.data, seed=0))
+    want = h.value + 4 * np.log(scale)
+    assert abs(h_scaled.value - want) <= 1e-12 * (1 + abs(want))
+    assert abs(h_scaled.stderr - h.stderr) <= 1e-12 * (1 + h.stderr)
+    assert abs(d_scaled - d) <= 1e-12 * (1 + d)
 
 
 def _layout_points(rng, count, d, periodic):

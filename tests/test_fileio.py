@@ -1,4 +1,7 @@
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -192,3 +195,125 @@ def test_read_matrix_rejects_an_integer_beyond_float_range(tmp_path):
     path.write_text('{"n": 1, "m": 1, "re": [[1%s]], "im": [[0]]}' % ("0" * 400))
     with pytest.raises(fileio.ParseError, match="not a numeric array"):
         fileio.read_matrix(path)
+
+
+SPLIT = fileio._SPLIT_MIN_FLOATS
+
+
+def _large_sample_doc():
+    """A 20000 x 16 sample document with AWKWARD values in the first and last
+    row blocks of both arrays."""
+    rng = np.random.default_rng(3)
+    re, im = rng.standard_normal((2, 20000, 16)) * np.exp(rng.uniform(-30, 30, (2, 1, 16)))
+    for a, sign in ((re, 1.0), (im, -1.0)):
+        a[0, :6] = a[-1, -6:] = sign * np.array(AWKWARD)
+    return _sample_doc(re, im)
+
+
+def _split_doc():
+    """The smallest sample document that is split, in more than one row block."""
+    return _sample_doc(*np.random.default_rng(4).standard_normal((2, SPLIT // 4, 2)))
+
+
+def _half(rows):
+    return np.random.default_rng(rows).standard_normal((rows, 1))
+
+
+def _counted_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_written_as_json_dumps(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    fileio._write_json(str(path), doc)
+    assert path.read_bytes() == (json.dumps(_tolist(doc), indent=2) + "\n").encode("utf-8")
+    assert os.listdir(tmp_path) == ["doc.json"]  # the spill leaves no file
+    with pytest.raises(ChildProcessError):  # and the child is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("doc, forks", [
+    (_large_sample_doc(), 1),
+    ({"re": _half(SPLIT // 2), "im": _half(SPLIT // 2 - 1)}, 0),
+    ({"re": _half(SPLIT // 2), "im": _half(SPLIT // 2), "after": [1.5, None]}, 1),
+    (_split_doc(), 1),
+    ({"n": 2, "re": np.ones((SPLIT, 2)), "im": np.ones((1, 1)).astype(int)}, 0),
+], ids=["20000x16", "just-below-split", "at-split", "at-split-row-blocks",
+       "one-large-array"])
+def test_split_write_is_json_dump_indent_2_byte_for_byte(tmp_path, monkeypatch, doc, forks):
+    counted = _counted_forks(monkeypatch)
+    _assert_written_as_json_dumps(tmp_path, doc)
+    assert len(counted) == forks
+
+
+def _fork_fails():
+    raise OSError("fork failed")
+
+
+@pytest.mark.parametrize("break_fork", [
+    lambda mp: mp.setattr(os, "fork", _fork_fails),
+    lambda mp: mp.delattr(os, "fork"),
+], ids=["fork-raises-OSError", "no-os.fork"])
+def test_split_write_formats_in_process_without_a_fork(tmp_path, monkeypatch, break_fork):
+    break_fork(monkeypatch)
+    _assert_written_as_json_dumps(tmp_path, _split_doc())
+
+
+def test_split_write_with_sigchld_ignored_formats_in_process(tmp_path):
+    # the system reaps the child, so its exit code cannot be read
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        _assert_written_as_json_dumps(tmp_path, _split_doc())
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+def _rows_in(monkeypatch, child=None, parent=None):
+    """Patch fileio._write_rows: in the forked child run child(), in this
+    process parent(), then each writes its rows as before."""
+    real_rows, this = fileio._write_rows, os.getpid()
+
+    def rows(fh, a):
+        action = parent if os.getpid() == this else child
+        if action is not None:
+            action()
+        real_rows(fh, a)
+
+    monkeypatch.setattr(fileio, "_write_rows", rows)
+
+
+def _raise_in_child():
+    raise RuntimeError("child fails")
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("child", [_raise_in_child, _die], ids=["child-exits-1", "child-dies"])
+def test_split_write_formats_in_process_when_the_child_fails(tmp_path, monkeypatch, child):
+    _rows_in(monkeypatch, child=child)
+    _assert_written_as_json_dumps(tmp_path, _split_doc())
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_parent_that_raises_mid_write_leaves_no_child(tmp_path, monkeypatch, error):
+    def raise_error():
+        raise error("parent fails")
+
+    _rows_in(monkeypatch, child=lambda: time.sleep(60), parent=raise_error)
+    start = time.monotonic()
+    with pytest.raises(error, match="parent fails"):
+        fileio._write_json(str(tmp_path / "doc.json"), _split_doc())
+    assert time.monotonic() - start < 30  # killed, not waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["doc.json"]

@@ -65,6 +65,13 @@ MUTANTS = {
         "p_x = -h_inv @ spec.noise.pcov @ h_inv.T",
         "p_x = -h_inv @ spec.noise.pcov @ h_inv.conj().T",
         ("random admissible specs",), 1, 1000, "solved input achieves capacity"),
+    "capacity-without-improperness-bonus": Mutant(
+        capacity, "_factor_channel",
+        "capacity = h_y - complex_gaussian_entropy(spec.noise).value",
+        "capacity = h_y - complex_gaussian_entropy("
+        "second_order.SecondOrderPair.proper(spec.noise.cov)).value",
+        ("capacity in power and noise",), 1, 1000,
+        "improper noise raises capacity by the closed-form bonus"),
     "loss-halved": Mutant(
         capacity, "capacity_loss",
         "delta = -0.5 * float(np.sum(np.log1p(-(mus**2)))) + 0.0",
