@@ -95,7 +95,7 @@ class AnalogGaussianModel:
 
 def analog_gaussian_model(pair: second_order.SecondOrderPair) -> AnalogGaussianModel:
     """Build the standardized model for a zero-mean pair with all lambda < 1."""
-    if np.max(np.abs(pair.mean)) > 0.0:
+    if np.count_nonzero(pair.mean):
         raise InvalidPair("NONZERO_MEAN", "analog Gaussian density requires zero mean")
     factors = pair.factors
     factors.spectrum_below_one()

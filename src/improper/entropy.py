@@ -16,7 +16,12 @@ entropy, and the circularity coefficients give the correction, so a pair is
 factored once however many of them are asked for. neeser_massey_bound also
 takes a bare matrix C, whose eigendecomposition linalg.hermitian_eig
 memoizes on C's content: a C factored recently, by validate_pair or by a
-pair's factorization, is not factored again. The kNN searches below are
+pair's factorization, is not factored again. complex_gaussian_entropy is
+computed once per factorization and cached on it, so the capacity solve
+reads the noise entropy the caller already asked for. log(pi e x) is taken
+as log(pi e 2^-s x) + s log 2 where x's binary exponent s is beyond
++-_LOG_SCALE_EXP = 1020 (pi e x overflows from about 2.1e307), and as
+np.log(pi e x), bit for bit, within that range. The kNN searches below are
 kept per SampleSet object, not per content.
 
 All values are in nats. The complex closed form always agrees with
@@ -186,6 +191,12 @@ _LEAF_ORDER_LEAFSIZE = 32
 # binary exponent of the largest |coordinate| beyond which a search runs on
 # points scaled by a power of two (the module docstring)
 _SCALE_EXP = 256
+_PI_E = np.pi * np.e
+# binary exponent of the largest x beyond which log(pi e x) is taken on 2^-s x:
+# pi e 2^1021 overflows, and below 2^-1020 an x 1e12 times smaller is subnormal;
+# within it, 2^(s-1) <= x < 2^s puts x in [2^-1021, 2^1020)
+_LOG_SCALE_EXP = 1020
+_LOG_RANGE = (2.0 ** -(_LOG_SCALE_EXP + 1), 2.0 ** _LOG_SCALE_EXP)
 
 
 @dataclass(frozen=True)
@@ -219,8 +230,25 @@ def neeser_massey_bound(c) -> EntropyValue:
         _, d = linalg.hermitian_eig(c)
     if linalg._not_positive(d[-1], d[0]):
         raise NotPositiveDefinite(f"smallest eigenvalue {d[-1]:.3e} not positive")
-    value = float(np.sum(np.log(np.pi * np.e * d)))
-    return EntropyValue(value=value, method=CLOSED_FORM)
+    return EntropyValue(value=_log_det_pi_e(d), method=CLOSED_FORM)
+
+
+def _log_det_pi_e(d) -> float:
+    """log det(pi e C) from the positive eigenvalues d of C, descending."""
+    return float(_log_pi_e(d, d[0]).sum())
+
+
+def _log_pi_e(x, largest):
+    """log(pi e x) of each 0 < x <= largest, also where pi e x overflows.
+
+    Beyond 2^+-_LOG_SCALE_EXP (largest's binary exponent s, as _scale_exponent
+    takes it) the logarithm is taken of 2^-s x, an exact scaling, and s log 2
+    added back. Within that range it is np.log(pi e x), bit for bit.
+    """
+    if _LOG_RANGE[0] <= largest < _LOG_RANGE[1]:
+        return np.log(_PI_E * x)
+    s = int(np.frexp(largest)[1])
+    return np.log(_PI_E * np.ldexp(x, -s)) + s * np.log(2.0)
 
 
 def complex_gaussian_entropy(pair: second_order.SecondOrderPair) -> EntropyValue:
@@ -228,10 +256,19 @@ def complex_gaussian_entropy(pair: second_order.SecondOrderPair) -> EntropyValue
 
     log det(pi e C) + 0.5 sum log(1 - lambda_i^2); requires every circularity
     coefficient below 1 (SpectrumAtOne otherwise) and a valid non-singular pair.
+    Computed once per factorization and cached on it (PairFactors.gaussian_entropy).
     """
-    lambdas = pair.factors.spectrum_below_one()
-    base = neeser_massey_bound(pair).value
-    value = base + 0.5 * float(np.sum(np.log1p(-(lambdas**2))))
+    return pair.factors.gaussian_entropy
+
+
+def _gaussian_entropy(factors: second_order.PairFactors) -> EntropyValue:
+    """complex_gaussian_entropy of the pair whose factorization is factors.
+
+    A valid pair's C passed the positivity test neeser_massey_bound makes.
+    """
+    lambdas = factors.spectrum_below_one()
+    value = (_log_det_pi_e(factors.cov_eigenvalues())
+             + 0.5 * float(np.log1p(-(lambdas**2)).sum()))
     return EntropyValue(value=value, method=CLOSED_FORM)
 
 

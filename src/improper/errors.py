@@ -19,7 +19,15 @@ class NotSymmetric(DomainError):
 
 
 class NotHermitian(DomainError):
-    """Matrix is not Hermitian within tolerance."""
+    """Matrix is not Hermitian within tolerance.
+
+    ``asymmetry`` is the ||A - A^H|| / ||A|| the test measured (None where
+    no number was recorded).
+    """
+
+    def __init__(self, message, asymmetry=None):
+        self.asymmetry = asymmetry
+        super().__init__(message)
 
 
 class NotPositiveDefinite(DomainError):

@@ -26,16 +26,27 @@ A SecondOrderPair holds sealed copies of C, P and the mean
 first use (``pair.factors``); every later spectrum, validity verdict,
 entropy, analog model or capacity solve of that pair reads the same
 factorization, whose arrays are sealed too, so no reader can change what
-the next one reads. The factorization is also memoized on the content of
-(C, P) (linalg._memo, the last linalg._MEMO_ENTRIES distinct pairs), and
-the eigendecomposition of C on C's content (linalg.hermitian_eig): so
-validate_pair(c, p), SecondOrderPair(c, p) and neeser_massey_bound(c) on
-the same arrays take one eigendecomposition of C and one SVD of M between
-them. A stack bypasses both memos: _factored_pairs builds the
-SecondOrderPairs of a stack and hands each its factorization from one
-_factor_pairs call. The validity tests are relative to the scale of the
-pair (the thresholds are linalg's), so rescaling a pair does not change its
-verdict.
+the next one reads. The Gaussian entropy and the Takagi factors are cached
+on the factorization on first use. The factorization is also memoized on
+the content of (C, P) (linalg._memo, the last linalg._MEMO_ENTRIES distinct
+pairs), and the eigendecomposition of C on C's content
+(linalg.hermitian_eig): so validate_pair(c, p), SecondOrderPair(c, p) and
+neeser_massey_bound(c) on the same arrays take one eigendecomposition of C
+and one SVD of M between them. validate_pair gates (C, P) and reads that
+memo without building a pair. A stack bypasses both memos: _factored_pairs
+builds the SecondOrderPairs of a stack and hands each its factorization
+from one _factor_pairs call. The validity tests are relative to the scale
+of the pair (the thresholds are linalg's), so rescaling a pair does not
+change its verdict, at the ends of float range too.
+
+The factorization of a pair is a handful of LAPACK calls wrapped in numpy
+and Python, and at n <= 8 the wrapping costs more than the calls. So the
+batch of one does no step twice: each asymmetry is taken once (C's inside
+hermitian_eig's memo, where a hit skips it), a matrix equal to its
+transpose entry for entry skips the norms, d, B^-1, M and the lambdas are
+sealed once per stack, and validate_pair builds no pair. Per-step costs of
+the whole closed-form chain are in README ("Library").
+
 A SampleSet likewise holds a sealed copy of its array, and the kNN
 estimators search it once per k per set object (entropy).
 """
@@ -98,7 +109,7 @@ class PairFactors:
 
     def _raise(self):
         if self.validity.reason == C_NOT_HERMITIAN:
-            raise NotHermitian("matrix is not Hermitian within tolerance")
+            raise NotHermitian("matrix is not Hermitian within tolerance", self.measured)
         if self.validity.reason == C_NOT_PSD:
             raise NotPositiveSemidefinite(
                 f"C smallest eigenvalue {self.measured:.3e} below {self.limit:.3e}")
@@ -134,6 +145,17 @@ class PairFactors:
         return self.lambdas
 
     @cached_property
+    def gaussian_entropy(self):
+        """entropy.complex_gaussian_entropy of the pair, computed on first use.
+
+        A failed requirement raises each time (a fresh exception), as the
+        spectrum does.
+        """
+        from .entropy import _gaussian_entropy  # entropy imports this module
+
+        return _gaussian_entropy(self)
+
+    @cached_property
     def takagi(self) -> linalg.TakagiFactorization:
         """Takagi factorization M = Q diag(sigma) Q^T, computed on first use.
 
@@ -148,21 +170,30 @@ class PairFactors:
 
 
 def _hermitian_eighs(c: np.ndarray):
-    """(hermitian, U, d): which C's of the stack are Hermitian, and linalg._eighs of those."""
-    hermitian = linalg._asymmetry(c, hermitian=True) <= linalg.SYM_RTOL
-    return (hermitian, *linalg._eighs(c[hermitian]))
+    """(skew, U, d) of a (k, n, n) stack: C's Hermitian test and eigendecomposition.
+
+    skew maps each item whose C fails the test to the asymmetry it measured;
+    U and d (sealed: PairFactors hold it) are linalg._eighs of the others,
+    in order.
+    """
+    asym = linalg._asymmetry(c, hermitian=True)
+    hermitian = asym <= linalg.SYM_RTOL
+    skew = {i: a for i, a in enumerate(asym.tolist()) if a > linalg.SYM_RTOL}
+    u, d = linalg._eighs(c[hermitian] if skew else c)
+    return skew, u, linalg._sealed(d)
 
 
 def _memoized_eighs(c: np.ndarray):
     """_hermitian_eighs of a batch of one, through hermitian_eig's memo.
 
-    The Hermitian test and the eigh run only when C's content misses the memo.
+    The Hermitian test and the eigh run only when C's content misses the
+    memo; a failed test's asymmetry comes with its NotHermitian.
     """
     try:
         u, d = linalg._hermitian_eig(c[0])
-    except NotHermitian:
-        return np.zeros(1, dtype=bool), c[:0], c[:0, 0].real
-    return np.ones(1, dtype=bool), u[None], d[None]
+    except NotHermitian as err:
+        return {0: err.asymmetry}, None, None
+    return {}, u[None], d[None]
 
 
 def _factor_pairs(c: np.ndarray, p: np.ndarray,
@@ -177,34 +208,45 @@ def _factor_pairs(c: np.ndarray, p: np.ndarray,
     values-only SVD of their M's; P's asymmetry against max(||P||, ||C||),
     the pair's scale, so a P that cancels to round-off next to C is
     symmetric; the lambda limit. The first failed test names an item's
-    reason. Each test on C is relative to C's scale, and each item gets the
-    bits it gets alone. A stack bypasses linalg._memo; _factor_pair, the
-    batch of one, reads C's eigendecomposition through hermitian_eig's memo.
+    reason and records the number it measured (a C asymmetry is taken once,
+    for the test and the record). Each test on C is relative to C's scale,
+    and each item gets the bits it gets alone. Every array a PairFactors
+    holds is a view of one sealed stack: d, B^-1, M and the lambdas are
+    sealed once per call, not once per item. A stack bypasses linalg._memo;
+    _factor_pair, the batch of one, reads C's eigendecomposition through
+    hermitian_eig's memo.
     """
     out = [None] * len(c)
-    hermitian, u, d = hermitian_eighs(c)
-    herm = np.flatnonzero(hermitian)
-    if herm.size < len(c):
-        skew = np.flatnonzero(~hermitian)
-        for j, a in zip(skew.tolist(), linalg._asymmetry(c[skew], hermitian=True).tolist()):
-            out[j] = PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")), a,
+    skew, u, d = hermitian_eighs(c)
+    herm = range(len(c))
+    if skew:
+        for i, a in skew.items():
+            out[i] = PairFactors(PairValidity(False, C_NOT_HERMITIAN, float("nan")), a,
                                  linalg.SYM_RTOL)
+        herm = [i for i in herm if i not in skew]
+        if not herm:
+            return out
+        c, p = c[herm], p[herm]
     zero, negative = linalg._eig_limits(d[:, -1], d[:, 0])
     pos = d[:, -1] > zero  # item by item, the negation of linalg._not_positive
-    if not pos.all():
+    rows = range(len(herm))
+    d_pos = d
+    if np.count_nonzero(pos) < len(pos):
         for i in np.flatnonzero(~pos).tolist():
             psd = d[i, -1] >= negative[i]
             reason, limit = (C_SINGULAR, zero[i]) if psd else (C_NOT_PSD, negative[i])
             out[herm[i]] = PairFactors(PairValidity(False, reason, float("nan")),
-                                       float(d[i, -1]), float(limit), d=linalg._sealed(d[i]))
-        herm, u, d = herm[pos], u[pos], d[pos]
-    if herm.size < len(c):
-        c, p = c[herm], p[herm]
-    b_inv = (u / np.sqrt(d)[:, None, :]).conj().swapaxes(-1, -2)  # diag(1/sqrt(d)) U^H
+                                       float(d[i, -1]), float(limit), d=d[i])
+        rows = np.flatnonzero(pos).tolist()
+        if not rows:
+            return out
+        c, p, u, d_pos = c[pos], p[pos], u[pos], d[pos]
+    b_inv = (u / np.sqrt(d_pos)[:, None, :]).conj().swapaxes(-1, -2)  # diag(1/sqrt(d)) U^H
     m = b_inv @ p @ b_inv.swapaxes(-1, -2)
     lambdas = np.linalg.svd(m, compute_uv=False)
     p_asym = linalg._asymmetry(p, hermitian=False, beside=c).tolist()
-    for i, (j, max_lambda) in enumerate(zip(herm.tolist(), lambdas[:, 0].tolist())):
+    b_inv, m, lambdas = linalg._sealed(b_inv), linalg._sealed(m), linalg._sealed(lambdas)
+    for i, (r, max_lambda) in enumerate(zip(rows, lambdas[:, 0].tolist())):
         measured, limit = max_lambda, 1.0 + linalg.LAMBDA_TOL
         if p_asym[i] > linalg.SYM_RTOL:
             validity = PairValidity(False, P_NOT_SYMMETRIC, float("nan"))
@@ -213,9 +255,8 @@ def _factor_pairs(c: np.ndarray, p: np.ndarray,
             validity = PairValidity(False, SPECTRUM_EXCEEDS_ONE, max_lambda)
         else:
             validity = PairValidity(True, OK, max_lambda)
-        out[j] = PairFactors(validity, measured, limit, d=linalg._sealed(d[i]),
-                             b_inv=linalg._sealed(b_inv[i]), m=linalg._sealed(m[i]),
-                             lambdas=linalg._sealed(lambdas[i]))
+        out[herm[r]] = PairFactors(validity, measured, limit, d=d[r], b_inv=b_inv[i], m=m[i],
+                                   lambdas=lambdas[i])
     return out
 
 
@@ -233,6 +274,15 @@ def _factor_pair(c: np.ndarray, p: np.ndarray) -> PairFactors:
 _factored_pair = linalg._memo(lambda c, p: _factor_pair(c, p))
 
 
+def _gated_pair(cov, pcov) -> tuple[np.ndarray, np.ndarray]:
+    """(C, P) through linalg's gate: non-empty square complex matrices of one shape."""
+    cov = linalg.as_matrix(cov, square=True)
+    pcov = linalg.as_matrix(pcov, square=True)
+    if cov.shape != pcov.shape:
+        raise DimensionMismatch(f"C and P shapes differ: {cov.shape} / {pcov.shape}")
+    return cov, pcov
+
+
 @dataclass(frozen=True)
 class SecondOrderPair:
     """Mean, covariance and complementary covariance of a complex vector.
@@ -246,10 +296,7 @@ class SecondOrderPair:
     mean: np.ndarray = None
 
     def __post_init__(self):
-        cov = linalg.as_matrix(self.cov, square=True)
-        pcov = linalg.as_matrix(self.pcov, square=True)
-        if cov.shape != pcov.shape:
-            raise DimensionMismatch(f"C and P shapes differ: {cov.shape} / {pcov.shape}")
+        cov, pcov = _gated_pair(self.cov, self.pcov)
         if self.mean is None:
             mean = np.zeros(cov.shape[0], dtype=complex)
         else:
@@ -385,10 +432,12 @@ def validate_pair(c, p) -> PairValidity:
     symmetric, and every circularity coefficient is <= 1 (closed bound, with
     linalg.LAMBDA_TOL slack so round-off cannot flip the verdict). The first
     failed check names the reason. Each test is relative to the scale of the
-    matrix it tests. It is ``SecondOrderPair(c, p).factors.validity``, so a
-    pair already built gives the same verdict without a second factorization.
+    matrix it tests. It is ``SecondOrderPair(c, p).factors.validity``, read
+    from the same content memo without building the pair, so a pair already
+    built gives the same verdict without a second factorization, and a pair
+    built next on the same arrays is not factored again.
     """
-    return SecondOrderPair(cov=c, pcov=p).factors.validity
+    return _factored_pair(*_gated_pair(c, p)).validity
 
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:

@@ -701,6 +701,25 @@ def _capacity_monotone(rng, samples):
     ]
 
 
+@_check("high-SNR threshold")
+def _high_snr_threshold(rng, samples):
+    # thr = 2n ||H^-1 C_z H^-H||_2 from an SVD here, not from the solver's eigenvalues
+    misjudged = probes = 0
+    for n, k in _by_dimension(rng, 1, 7, 6):
+        for spec in _random_specs(rng, n, k):
+            h_inv = np.linalg.inv(spec.h)
+            referred = h_inv @ spec.noise.cov @ h_inv.conj().T
+            thr = 2 * n * float(np.linalg.svd(referred, compute_uv=False)[0])
+            for factor, below in ((1 - 1e-6, True), (1 + 1e-6, False)):
+                probe = capacity.ChannelSpec(h=spec.h, noise=spec.noise, power=thr * factor)
+                flagged = capacity.HIGH_SNR in [v.name for v in capacity.check_assumptions(probe)]
+                misjudged += flagged != below
+                probes += 1
+    return [_result("HIGH_SNR flagged exactly below the threshold",
+                    "{measured:.0f} of {N} budgets at 2n||H^-1 C_z H^-H|| (1 -/+ 1e-6) misjudged",
+                    misjudged, 0, samples=probes)]
+
+
 @_check("scalar power split")
 def _scalar_power_split(rng, samples):
     rn, imn, rp, ip = capacity.scalar_powers(1.0, 0.5, 2.0)
@@ -752,7 +771,7 @@ SUITE_CHECKS = {
                "circular Gaussian divergence", "degenerate radius",
                "improper Gaussian divergence", "circularized 3-PSK has no odd moments"),
     "capacity": ("worked capacity examples", "random admissible specs",
-                 "capacity in power and noise", "scalar power split",
+                 "capacity in power and noise", "high-SNR threshold", "scalar power split",
                  "circularized BPSK input"),
 }
 SUITES = (*SUITE_CHECKS, "all")

@@ -124,6 +124,20 @@ def test_high_snr_boundary_inclusive():
         == [cap.HIGH_SNR]
 
 
+def test_capacity_at_the_largest_budgets():
+    # n log(pi e L) overflows from L of about 2.1e307; the capacity is n log L for H = C_z = I
+    for n, power in ((2, 1.7e308), (1, 1.7e308), (2, 5e307)):
+        spec = cap.ChannelSpec(h=np.eye(n), noise=so.SecondOrderPair.proper(np.eye(n)),
+                               power=power)
+        res = cap.solve_capacity(spec)
+        level = (power + n) / n
+        assert res.water_level == level
+        assert res.capacity_nats == pytest.approx(n * np.log(level), rel=1e-15)
+        mi = cap.gaussian_mutual_information(spec, res.input_pair).value
+        assert mi == pytest.approx(res.capacity_nats, rel=1e-15)
+        if power == 1.7e308 and n == 2:
+            assert res.capacity_nats == pytest.approx(1418.0674, abs=1e-4)
+
 def test_capacity_scalar_proper():
     res = cap.solve_capacity(scalar_spec())
     assert res.capacity_nats == pytest.approx(np.log(3.0), abs=1e-12)

@@ -72,6 +72,20 @@ def test_neeser_massey_scalar():
         entropy.neeser_massey_bound(np.zeros((1, 1)))
 
 
+def test_closed_forms_past_the_overflow_of_pi_e_x():
+    # pi e x overflows from about 2.1e307: there the logarithm is of 2^-s x, plus s log 2
+    for scale in (3e307, 1e308, 1.7e308, 1e-310):
+        bound = entropy.neeser_massey_bound(scale * np.eye(2)).value
+        assert bound == pytest.approx(2 * (LOG_PI_E + np.log(scale)), rel=1e-15), scale
+        h = entropy.complex_gaussian_entropy(
+            so.SecondOrderPair(cov=scale * np.eye(2), pcov=0.5 * scale * np.eye(2))).value
+        assert h == pytest.approx(bound + np.log(0.75), rel=1e-15), scale
+    # within range the value is np.log(pi e d) summed, bit for bit
+    g = np.random.default_rng(5).standard_normal((3, 3))
+    c = g @ g.T + np.eye(3)
+    _, d = linalg.hermitian_eig(c)
+    assert entropy.neeser_massey_bound(c).value == float(np.sum(np.log(np.pi * np.e * d)))
+
 def test_complex_gaussian_entropy_scalar_exact():
     assert entropy.complex_gaussian_entropy(scalar_pair(0.0)).value == pytest.approx(
         LOG_PI_E, abs=5e-15)

@@ -85,6 +85,38 @@ def test_closed_form_chain_factors_at_most_seven_times(factorizations):
     assert _factored(factorizations) <= 7, dict(factorizations)
 
 
+@pytest.fixture
+def gates_and_seals(monkeypatch):
+    """Counts of linalg.as_matrix (the input gate) and linalg._sealed (the holders' copy)."""
+    counts = Counter()
+    for name in ("as_matrix", "_sealed"):
+        def counted(*args, _name=name, _fn=getattr(linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return counts
+
+
+def test_closed_form_chain_gates_and_seals_each_array_once(gates_and_seals):
+    c, p, h, power = _case(2)
+    gates_and_seals.clear()
+    assert ip.validate_pair(c, p).valid
+    pair = ip.SecondOrderPair(cov=c, pcov=p)
+    ip.circularity_spectrum(pair)
+    ip.complex_gaussian_entropy(pair)
+    ip.neeser_massey_bound(c)
+    ip.analog_gaussian_model(pair)
+    spec = ip.ChannelSpec(h=h, noise=pair, power=power)
+    ip.solve_capacity(spec)
+    ip.capacity_loss(spec)
+    # gates: C and P by validate_pair and by the pair, C by neeser_massey_bound, H by the
+    # spec, the solved C_x and P_x by the input pair; nothing past a holder is gated again
+    # seals: U and d of C's eigh, the B^-1, M and lambda stacks, the pair's C, P and mean,
+    # the Takagi Q and sigma, H, the input pair's C_x, P_x and mean; each array once
+    assert dict(gates_and_seals) == {"as_matrix": 8, "_sealed": 14}
+
+
 def test_one_content_is_factored_once_across_entry_points(factorizations):
     c, p, _, _ = _case(3)
     factorizations.clear()

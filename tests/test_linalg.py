@@ -102,6 +102,17 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_part_is_halved_before_the_sum():
+    # the bits of 0.5 (A + A^H) in the normal range, and no overflow at the top of it
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    d, u = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    got_u, got_d = linalg._eighs(a)
+    assert got_u.tobytes() == np.ascontiguousarray(u[..., ::-1]).tobytes()
+    assert got_d.tobytes() == np.ascontiguousarray(d[..., ::-1]).tobytes()
+    _, top = linalg.hermitian_eig(1.5e308 * np.eye(2))
+    assert top.tolist() == [1.5e308, 1.5e308]
+
 def test_generalized_cholesky_factorizes():
     c = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     b = linalg.generalized_cholesky(c)

@@ -72,10 +72,15 @@ MUTANTS = {
         "second_order.SecondOrderPair.proper(spec.noise.cov)).value",
         ("capacity in power and noise",), 1, 1000,
         "improper noise raises capacity by the closed-form bonus"),
+    "high-snr-threshold-without-factor-two": Mutant(
+        capacity, "_factor_channel",
+        "thr = 2.0 * n * float(np.linalg.eigvalsh(g)[-1])",
+        "thr = n * float(np.linalg.eigvalsh(g)[-1])",
+        ("high-SNR threshold",), 1, 1000, "HIGH_SNR flagged exactly below the threshold"),
     "loss-halved": Mutant(
         capacity, "capacity_loss",
-        "delta = -0.5 * float(np.sum(np.log1p(-(mus**2)))) + 0.0",
-        "delta = -0.25 * float(np.sum(np.log1p(-(mus**2)))) + 0.0",
+        "delta = -0.5 * float(np.log1p(-(mus**2)).sum()) + 0.0",
+        "delta = -0.25 * float(np.log1p(-(mus**2)).sum()) + 0.0",
         ("random admissible specs",), 1, 1000),
     "half-circle-phase": Mutant(
         analog, "circularize",

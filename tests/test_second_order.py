@@ -248,6 +248,32 @@ def test_symmetry_tests_are_scale_free(scale):
     assert so.pair_from_real_covariance(sym).dim == 1
 
 
+def test_verdicts_hold_at_the_ends_of_float_range():
+    # a subnormal largest entry would overflow a division by it, and C + C^H overflows
+    # above about 9e307; neither reads a wrong verdict or raises a RuntimeWarning
+    for scale in (1e-310, 1e-320, 1e-305, 1e308, 1.7e308):
+        v = so.validate_pair(scale * np.eye(2), np.zeros((2, 2)))
+        assert (v.valid, v.reason, v.max_lambda) == (True, so.OK, 0.0), scale
+        assert so.validate_pair(scale * np.eye(2), 0.5 * scale * np.eye(2)).valid, scale
+    for scale in (1e-310, 1.7e308):
+        skew = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert so.validate_pair(skew, np.zeros((2, 2))).reason == so.C_NOT_HERMITIAN
+        assert so.validate_pair(np.eye(2) * scale, skew).reason == so.P_NOT_SYMMETRIC
+
+
+def test_asymmetries_are_the_same_bits_at_every_power_of_two():
+    c = np.array([[2.0, 1.0 + 0.5j], [1.0 - 0.4j, 1.5]])
+    p = np.array([[0.3, 0.2j], [0.1, -0.4]])
+    values = {(linalg._asymmetry(s * c, True), linalg._asymmetry(s * p, False, beside=s * c))
+              for s in (1.0, 2.0 ** -1000, 2.0 ** -600, 2.0 ** 600, 2.0 ** 1020)}
+    assert len(values) == 1, values
+    measured = {so.SecondOrderPair(cov=s * c, pcov=np.zeros((2, 2))).factors.measured
+                for s in (1.0, 2.0 ** -1000, 2.0 ** 1020)}
+    assert measured == {linalg._asymmetry(c, True)} and measured != {0.0}
+    with pytest.raises(ip.NotHermitian) as err:
+        linalg.hermitian_eig(c)
+    assert err.value.asymmetry == linalg._asymmetry(c, True)
+
 def test_circularity_spectrum_diagonal():
     pair = so.SecondOrderPair(cov=np.eye(2), pcov=np.diag([0.5, 0.2]).astype(complex))
     np.testing.assert_allclose(so.circularity_spectrum(pair), [0.5, 0.2], atol=1e-12)
