@@ -45,13 +45,14 @@ once per k. A SampleSet holds a sealed array, and the first estimator
 that needs the k-th neighbor distances of a set within itself searches the
 set: one tree build, two from d = 8 (a search at d = 1, which only
 divergence_to_analog makes, builds none; see the bands below), one answer
-for each point, and only scalars cached on the set: N, d, the tie count,
+for each point, and cached on the set only the order the search visited
+the points in (8 bytes a point, sealed) and scalars: N, d, the tie count,
 the Kozachenko-Leonenko value and stderr, and the mean log distance.
 knn_entropy returns that value; knn_kl_divergence is the difference of two
 means, d (mean log nu - mean log rho) + log(M / (N - 1)), so it adds only
 q's tree and the query of p's points into it; analog_entropy_gap reads
 h(x) through knn_entropy. Keeping the N distances instead would hold a
-large array for the lifetime of the set.
+large float array for the lifetime of the set.
 
 Only the distance step of a search depends on the real dimension d of its
 points, in three bands; the tie count, the logarithm and the terms are
@@ -72,13 +73,28 @@ computed once, for every d, by _search_points:
   below, and the leaf-ordered copy from d = 8 up.
 
 Every tree the estimators query comes from one function, _tree. Each query
-asks for the k-th neighbor distance alone, and the points are visited in
-an order where consecutive queries walk the same tree nodes while they are
-still in cache: a self-search visits them in its tree's leaf order
-(cKDTree.indices, which the build computes anyway), and knn_kl_divergence's
-query of p's points into q's tree, or a self-search by a tree class
-without ``indices``, along a Z-order (Morton) curve through the points'
-bounding box. The distances are scattered back to row order.
+asks for the k-th neighbor distance alone, and a set's points are visited
+in one order, the order of the set's own search, where consecutive queries
+walk the same tree nodes while they are still in cache: a self-search
+visits them in its tree's leaf order (cKDTree.indices, which the build
+computes anyway; the sort at d = 1), and knn_kl_divergence queries p's
+points into q's tree in the order p's cached search kept. A tree class
+without ``indices`` visits them in row order. The distances are scattered
+back to row order.
+
+The cross query gains nothing from an order of its own. Against a walk
+along a bit-interleaving space-filling curve through p's bounding box,
+reusing p's leaf order gains at 2n <= 4 and is level beyond, where two
+sets of runs split either way, with every estimate bit-identical. Median
+ms of calls alternating in one process, p's search cached except in the
+verify row, on 2 cores (Python 3.11, numpy 2.4, scipy 1.17):
+
+  case (runs)                                          curve  p's leaf order
+  verify's "kNN divergence", 2n = 2, N = 1e5 (15)        336       292
+  knn_kl_divergence, 2n = 2, N = 1e5 (15)                101        85
+  knn_kl_divergence, 2n = 4, N = 1e5 (15)                212       196
+  knn_kl_divergence, 2n = 8, N = 1e5 (8; 10)      2763; 2879  2827; 2854
+  knn_kl_divergence, 2n = 10, N = 2.5e4 (10; 20)  1248; 1339  1304; 1319
 
 The layout of a tree's points depends on d too. Below the crossover,
 d < _LEAF_ORDER_MIN_DIM = 8, the tree is built once over the points as
@@ -169,7 +185,7 @@ search at d = 1 with no period builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -293,59 +309,29 @@ def _unit_ball_log_volume(d: int) -> float:
     return 0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1.0)
 
 
-def _spatial_order(points: np.ndarray) -> np.ndarray:
-    """Row order along a Z-order (Morton) curve through the points' bounding box.
-
-    Quantises each of the first dims = min(d, 63) coordinates to
-    bits = min(32, 63 // dims) bits, interleaves the bits into one
-    non-negative int64 key per row (bit b of coordinate j lands at bit
-    b * dims + dims - 1 - j) and sorts the keys stably. Rows close in the
-    order are close in space.
-    """
-    n, d = points.shape
-    dims = min(d, 63)
-    bits = min(32, 63 // dims)
-    x = points[:, :dims]
-    lo = x.min(axis=0)
-    span = x.max(axis=0) - lo
-    q = x - lo
-    q *= (2.0**bits - 1.0) / np.where(span > 0, span, 1.0)
-    q = q.astype(np.uint32)
-    # spread[v] moves bit i of the byte v to bit i * dims
-    width = min(bits, 8)
-    byte = np.arange(2**width)
-    spread = np.zeros(2**width, dtype=np.int64)
-    for i in range(width):
-        spread |= ((byte >> i) & 1) << (i * dims)
-    key = np.zeros(n, dtype=np.int64)
-    for lowest in range(0, bits, 8):
-        for j in range(dims):
-            key |= spread[(q[:, j] >> lowest) & 255] << (lowest * dims + dims - 1 - j)
-    return np.argsort(key, kind="stable")
-
-
 def _tree(points: np.ndarray, boxsize=None):
     """(tree, order, rows): the kd-tree the estimators query over points.
 
     Every tree the estimators build comes from here, made by the module's
     cKDTree, with sliding-midpoint splits up to _MIDPOINT_MAX_DIM real
     dimensions and scipy's default ones above. order is the leaf order
-    (``indices``) of the tree built over points, or None for a tree class
-    without ``indices``. Below
-    _LEAF_ORDER_MIN_DIM real dimensions, or for such a class, that tree is
-    returned and rows is None. From _LEAF_ORDER_MIN_DIM up it only gives
-    the order: rows is the copy points[order], and the tree returned is
-    built over rows with _LEAF_ORDER_LEAFSIZE-point leaves, so each leaf
-    reads a contiguous run of rows. Which tree finds a k-th neighbor
-    distance does not change its bits.
+    (``indices``) of the tree built over points, and rows the copy
+    points[order]. Below _LEAF_ORDER_MIN_DIM real dimensions that tree is
+    returned. From _LEAF_ORDER_MIN_DIM up it only gives the order: the tree
+    returned is built over rows with _LEAF_ORDER_LEAFSIZE-point leaves, so
+    each leaf reads a contiguous run of rows. A tree class without
+    ``indices`` gives row order (rows = points) and its one tree. Which tree
+    finds a k-th neighbor distance does not change its bits.
     """
     split = ({"balanced_tree": False, "compact_nodes": False}
              if points.shape[1] <= _MIDPOINT_MAX_DIM else {})
     tree = _kdtree()(points, boxsize=boxsize, **split)
-    order = getattr(tree, "indices", None)
-    if order is None or points.shape[1] < _LEAF_ORDER_MIN_DIM:
-        return tree, order, None
+    if not hasattr(tree, "indices"):  # a tree class need only build and query
+        return tree, np.arange(points.shape[0]), points
+    order = tree.indices
     rows = points[order]
+    if points.shape[1] < _LEAF_ORDER_MIN_DIM:
+        return tree, order, rows
     return _kdtree()(rows, leafsize=_LEAF_ORDER_LEAFSIZE, boxsize=boxsize), order, rows
 
 
@@ -361,8 +347,9 @@ def _kth_distance(tree, rows: np.ndarray, k: int, order: np.ndarray) -> np.ndarr
     return dist
 
 
-def _sorted_kth_distance(values: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each of the 1-D values to its k-th nearest other value (k >= 1).
+def _sorted_kth_distance(values: np.ndarray, k: int):
+    """(dist, order): each 1-D value's distance to its k-th nearest other value
+    (k >= 1), in the values' order, and the sorted order that visited them.
 
     The sorted search of the module docstring: min over j = 0..k of
     max(L_j, R_(k-j)) in sorted order, with -inf and +inf padding past the
@@ -383,23 +370,22 @@ def _sorted_kth_distance(values: np.ndarray, k: int) -> np.ndarray:
             np.minimum(kth, np.maximum(left * left, right * right), out=kth)
     dist = np.empty(n)
     dist[order] = np.sqrt(kth)
-    return dist
+    return dist, order
 
 
-def _kth_other_distance(points: np.ndarray, k: int, boxsize=None) -> np.ndarray:
-    """Distance from each point to its k-th nearest other point, in point order.
+def _kth_other_distance(points: np.ndarray, k: int, boxsize=None):
+    """(dist, order): each point's distance to its k-th nearest other point, in
+    point order, and the order the search visited the points in.
 
     At d = 1 with no period a sort answers it (_sorted_kth_distance) and no
     tree is built. Otherwise the points' tree (_tree) answers one (k+1)-th
-    neighbor query of every point: the nearest neighbor of a point is the
-    point itself.
+    neighbor query of every point, in its order: the nearest neighbor of a
+    point is the point itself.
     """
     if points.shape[1] == 1 and boxsize is None:
         return _sorted_kth_distance(points[:, 0], k)
     tree, order, rows = _tree(points, boxsize)
-    if order is None:  # a tree class need only build and query: visit in Z-order
-        order = _spatial_order(points)
-    return _kth_distance(tree, points[order] if rows is None else rows, k + 1, order)
+    return _kth_distance(tree, rows, k + 1, order), order
 
 
 def _knn_guard(k, *sample_sets) -> None:
@@ -420,15 +406,18 @@ class _SelfSearch:
     """What the estimators keep of one search of a point set within itself.
 
     count, dim: N and the real dimension d; ties: how many points have a
-    k-th neighbor distance rho of 0. Without ties, value and stderr are the
+    k-th neighbor distance rho of 0; order: the sealed order the search
+    visited the points in, which knn_kl_divergence's query of them into
+    another set's tree reuses. Without ties, value and stderr are the
     Kozachenko-Leonenko estimate and its standard error, and mean_log_rho
-    is the mean of log rho; with ties all three are NaN. Only scalars are
-    kept, not the N distances.
+    is the mean of log rho; with ties all three are NaN. Only the order
+    and scalars are kept, not the N distances.
     """
 
     count: int
     dim: int
     ties: int
+    order: np.ndarray = field(compare=False)
     value: float = float("nan")
     stderr: float = float("nan")
     mean_log_rho: float = float("nan")
@@ -442,7 +431,7 @@ class _SelfSearch:
 
 def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
     """Each row's distance rho to its k-th nearest other row (_kth_other_distance),
-    reduced to the scalars of a _SelfSearch.
+    reduced to the scalars of a _SelfSearch, with the order that visited the rows.
 
     boxsize follows cKDTree: per-dimension period, 0 = not periodic.
     """
@@ -450,14 +439,15 @@ def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
 
     points = np.ascontiguousarray(points, dtype=float)
     n, d = points.shape
-    rho = _kth_other_distance(points, k, boxsize)
+    rho, order = _kth_other_distance(points, k, boxsize)
+    order = linalg._sealed(order)
     ties = int(np.count_nonzero(rho == 0.0))
     if ties:
-        return _SelfSearch(n, d, ties)
+        return _SelfSearch(n, d, ties, order)
     log_rho = np.log(rho)
     terms = digamma(n) - digamma(k) + _unit_ball_log_volume(d) + d * log_rho
-    return _SelfSearch(n, d, 0, float(terms.mean()), float(terms.std(ddof=1) / np.sqrt(n)),
-                       float(log_rho.mean()))
+    return _SelfSearch(n, d, 0, order, float(terms.mean()),
+                       float(terms.std(ddof=1) / np.sqrt(n)), float(log_rho.mean()))
 
 
 def _scale_exponent(*point_sets: np.ndarray) -> int:
@@ -522,8 +512,9 @@ def knn_kl_divergence(
     For each p-point, compares the k-th neighbor distance within the p-sample
     (self excluded) against the k-th neighbor distance into the q-sample:
     D-hat = d (mean log nu - mean log rho) + log(M / (N - 1)). mean log rho
-    is read from p's cached search for k; only q's tree is built here. The
-    query takes one power-of-two scale for p and q (the module docstring).
+    is read from p's cached search for k; only q's tree is built here, and
+    p's points are queried into it in the order p's search visited them.
+    The query takes one power-of-two scale for p and q (the module docstring).
     Raises TiedSamples when either distance is 0 for some p-point.
     """
     if p_samples.n != q_samples.n:
@@ -534,8 +525,7 @@ def knn_kl_divergence(
     s = _scale_exponent(x, y)
     if s:
         x, y = np.ldexp(x, -s), np.ldexp(y, -s)
-    order = _spatial_order(x)
-    nu = _kth_distance(_tree(y)[0], x[order], k, order)
+    nu = _kth_distance(_tree(y)[0], x[search.order], k, search.order)
     _check_ties(nu, f"k-th neighbor distance into q (k={k})")
     mean_log_nu = float(np.log(nu).mean()) + s * np.log(2.0)
     est = (search.dim * (mean_log_nu - search.mean_log_rho)

@@ -23,8 +23,9 @@ entries up to the float maximum do not overflow.
 
 Beside it sits the one input gate, which decides what a well-formed input
 is and which error names each fault: as_matrix admits every matrix and
-sample set the package takes (DimensionMismatch for a wrong shape,
-DomainError for a non-finite entry), and _int_at_least every count, k and
+sample set the package takes (DomainError for entries of a non-numeric
+dtype, booleans included, DimensionMismatch for a wrong shape, DomainError
+for a non-finite entry), and _int_at_least every count, k and
 seed. _sealed makes the copy every holder keeps and every cache hands out,
 and _rebuilt_from_fields makes copies and pickles of a holder go through its
 constructor. Each array is gated and sealed once, where it enters its
@@ -95,9 +96,14 @@ _MEMOS = []  # every memo's lru_cache, for cache_info and cache_clear
 def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
     """a as a finite non-empty 2-D dtype array, square if square.
 
-    Raises DimensionMismatch for a wrong shape and DomainError for a non-finite entry.
+    Raises DomainError for entries that are not numbers (strings, quoted
+    numbers, objects, booleans), DimensionMismatch for a wrong shape and
+    DomainError for a non-finite entry.
     """
-    a = np.asarray(a, dtype=dtype)
+    a = np.asarray(a)
+    if a.dtype.kind not in "iufc":  # a bool is not a number, as in files and counts
+        raise DomainError(f"matrix entries must be numbers, got dtype {a.dtype}")
+    a = a.astype(dtype, copy=False)
     if a.ndim != 2 or a.size == 0 or (square and a.shape[0] != a.shape[1]):
         kind = "square " if square else ""
         raise DimensionMismatch(f"expected a non-empty {kind}matrix, got shape {a.shape}")

@@ -297,31 +297,12 @@ def test_kth_distance_matches_plain_query_in_any_order(periodic):
     for d in range(1, 13):
         points, box = _layout_points(rng, count, d, periodic)
         tree = entropy.cKDTree(points, boxsize=box)
-        orders = (entropy._spatial_order(points), tree.indices, rng.permutation(count),
-                  np.arange(count))
+        orders = (tree.indices, rng.permutation(count), np.arange(count))
         for k in (1, 4):
             plain = tree.query(points, k=k + 1)[0][:, k]
             for order in orders:
                 got = entropy._kth_distance(tree, points[order], k + 1, order)
                 assert np.array_equal(got, plain), (d, k)
-
-
-def test_spatial_order_is_a_permutation():
-    rng = np.random.default_rng(78)
-    cases = [
-        rng.standard_normal((1, 3)),
-        np.full((50, 4), 2.5),
-        np.column_stack([rng.random(50), np.zeros(50)]),
-        rng.standard_normal((200, 70)),
-    ]
-    for points in cases:
-        order = entropy._spatial_order(points)
-        assert np.array_equal(np.sort(order), np.arange(points.shape[0]))
-
-
-def test_spatial_order_follows_the_z_curve():
-    corners = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert entropy._spatial_order(corners).tolist() == [1, 3, 2, 0]
 
 
 def test_entropy_verify_suite_passes():
@@ -357,12 +338,19 @@ def test_search_points_has_the_bits_of_a_plain_query_in_every_layout(d, periodic
     tied = np.concatenate([points, np.repeat(points[:7], 4, axis=0)])  # 7 x 5 copies at k = 4
     for sample, k in ((points, 1), (points, 4), (tied, 4)):
         # each point's distance, in sample order, and the scalars the search keeps
-        assert (entropy._tree(sample, box)[2] is None) == (d < entropy._LEAF_ORDER_MIN_DIM)
-        rho = entropy._kth_other_distance(sample, k, box)
+        tree, order, rows = entropy._tree(sample, box)
+        assert rows.tobytes() == sample[order].tobytes()
+        queried = rows if d >= entropy._LEAF_ORDER_MIN_DIM else sample
+        assert tree.data.tobytes() == queried.tobytes()
+        rho, visited = entropy._kth_other_distance(sample, k, box)
         assert rho.tobytes() == _plain_rho(sample, k, box).tobytes()
         got = entropy._search_points(sample, k, box)
         want = _plain_search(sample, k, box)
         assert (got.count, got.dim) == sample.shape
+        # the search keeps the permutation it visited, sealed
+        assert np.array_equal(got.order, visited)
+        assert np.array_equal(np.sort(visited), np.arange(len(sample)))
+        assert not got.order.flags.writeable
         np.testing.assert_array_equal([got.value, got.stderr, got.mean_log_rho, got.ties], want)
     assert want[3] == 35  # the tied set's search
 
@@ -382,7 +370,9 @@ def test_sorted_search_has_the_bits_of_a_plain_query(name):
     points = values[:, None]
     ties = []
     for k in range(1, 9):
-        assert entropy._sorted_kth_distance(values, k).tobytes() == _plain_rho(points, k).tobytes()
+        dist, order = entropy._sorted_kth_distance(values, k)
+        assert dist.tobytes() == _plain_rho(points, k).tobytes()
+        assert np.array_equal(order, np.argsort(values, kind="stable"))
         got = entropy._search_points(points, k)
         want = _plain_search(points, k)
         np.testing.assert_array_equal([got.value, got.stderr, got.mean_log_rho, got.ties], want)
@@ -416,7 +406,7 @@ def test_a_degenerate_radius_names_the_ties_of_a_plain_query():
 
 
 @pytest.mark.parametrize("n", [1, 4, 5])
-def test_knn_kl_divergence_has_the_bits_of_plain_queries(n):
+def test_knn_kl_divergence_has_the_bits_of_plain_queries(monkeypatch, n):
     p = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(n)), 3000, seed=80)
     q = so.sample_gaussian(so.SecondOrderPair.proper(2.0 * np.eye(n)), 3500, seed=81)
     x, y = linalg.real_vector(p.data), linalg.real_vector(q.data)
@@ -424,7 +414,10 @@ def test_knn_kl_divergence_has_the_bits_of_plain_queries(n):
     nu = entropy.cKDTree(y).query(x, k=4)[0][:, 3]
     want = 2 * n * (float(np.log(nu).mean()) - mean_log_rho) + np.log(3500 / 2999)
     assert want > 0.1
-    assert entropy.knn_kl_divergence(p, q) == want
+    for leaf_order in (True, False):  # a tree class with and without indices
+        _counting_tree(monkeypatch, leaf_order)
+        fresh = so.SampleSet(data=p.data, seed=80)  # p searched by this class
+        assert entropy.knn_kl_divergence(fresh, q) == want
 
 
 def _counting_tree(monkeypatch, leaf_order=True):
@@ -450,6 +443,21 @@ def _counting_tree(monkeypatch, leaf_order=True):
     return builds, queried
 
 
+def test_a_divergence_from_a_searched_set_builds_only_q_trees(monkeypatch):
+    # p's points go into q's tree once, in the order p's cached search kept
+    builds, queried = _counting_tree(monkeypatch)
+    for n, q_trees in ((2, [(3500, 16, {})]),
+                       (4, [(3500, 16, {}), (3500, entropy._LEAF_ORDER_LEAFSIZE, {})])):
+        p = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(n)), 3000, seed=80)
+        q = so.sample_gaussian(so.SecondOrderPair.proper(2.0 * np.eye(n)), 3500, seed=81)
+        entropy.knn_entropy(p)
+        builds.clear()
+        queried.clear()
+        entropy.knn_kl_divergence(p, q)
+        assert builds == q_trees
+        assert queried == [3000]
+
+
 @pytest.mark.parametrize("leaf_order", [True, False], ids=["indices", "build-and-query"])
 def test_a_set_above_the_crossover_is_queried_once_per_k(monkeypatch, leaf_order):
     x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(4)), 2000, seed=82)
@@ -457,7 +465,7 @@ def test_a_set_above_the_crossover_is_queried_once_per_k(monkeypatch, leaf_order
     first = entropy.knn_entropy(x)
     assert entropy.knn_entropy(x) == first
     entropy.knn_entropy(x, k=2)
-    # a tree class without indices keeps the one tree and the Z-order query
+    # a tree class without indices keeps the one tree, queried in row order
     search = ([(2000, 16, {}), (2000, entropy._LEAF_ORDER_LEAFSIZE, {})] if leaf_order
               else [(2000, 16, {})])
     assert builds == 2 * search

@@ -50,6 +50,16 @@ MUTANTS = {
         "right = padded[2 * k - j:2 * k - j + n] - v",
         "right = padded[2 * k - j - 1:2 * k - j - 1 + n] - v",
         ("improper Gaussian divergence",), 1, 20_000),
+    "cross-query-k-plus-one": Mutant(
+        entropy, "knn_kl_divergence",
+        "nu = _kth_distance(_tree(y)[0], x[search.order], k, search.order)",
+        "nu = _kth_distance(_tree(y)[0], x[search.order], k + 1, search.order)",
+        ("kNN divergence",), 1, 20_000, "kNN divergence of identical distributions"),
+    "gaussian-entropy-quarter-correction": Mutant(
+        entropy, "_gaussian_entropy",
+        "+ 0.5 * float(np.log1p(-(lambdas**2)).sum()))",
+        "+ 0.25 * float(np.log1p(-(lambdas**2)).sum()))",
+        ("Gaussian closed forms",), 1, 1000, "complex vs real Gaussian closed forms"),
     "input-pcov-zero": Mutant(
         capacity, "_factor_channel",
         "p_x = -h_inv @ spec.noise.pcov @ h_inv.T",
@@ -115,6 +125,15 @@ MUTANTS = {
         ("takagi factorization",), 1, 1000),
 }
 
+# Registered checks no mutant is caught by yet; a new check goes into MUTANTS or here
+WITHOUT_MUTANT = (
+    "Bessel I0", "analog Gaussian density", "circular Gaussian divergence",
+    "circular competitor divergence", "circularized BPSK input", "circularized improper inputs",
+    "degenerate radius", "embedding identities", "improper Gaussian kNN entropy",
+    "mixture entropy gap", "polar density integral", "scalar power split",
+    "transform round trips", "worked capacity examples",
+)
+
 
 def _mutated(m: Mutant):
     """The function m names, with its one line replaced, bound to the module's globals."""
@@ -139,3 +158,10 @@ def test_registered_checks_catch_the_mutant(name, monkeypatch):
     assert caught, f"{name} passed {m.checks}"
     if m.line is not None:
         assert m.line in [r.name for r in caught], f"{name} passed {m.line!r}"
+
+
+def test_every_registered_check_has_a_mutant_or_is_listed_without_one():
+    with_mutant = {check for m in MUTANTS.values() for check in m.checks}
+    assert len(set(WITHOUT_MUTANT)) == len(WITHOUT_MUTANT)
+    assert with_mutant.isdisjoint(WITHOUT_MUTANT)
+    assert with_mutant | set(WITHOUT_MUTANT) == set(verify._CHECKS)

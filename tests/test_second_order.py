@@ -56,6 +56,12 @@ FAULTS = {
     "0x0": (np.zeros((0, 0)), DimensionMismatch),
     "nan": (_with_entry(np.nan), DomainError),
     "inf": (_with_entry(np.inf), DomainError),
+    # entries that are not numbers, as in files: a bool is not a number either
+    "str": ("not a matrix", DomainError),
+    "quoted number": ([["1.5", "0"], ["0", "1.5"]], DomainError),
+    "object": (np.eye(2).astype(object), DomainError),
+    "dict": ({"re": [[1.0]]}, DomainError),
+    "bool": (np.eye(2, dtype=bool), DomainError),
 }
 _SAMPLES = so.SampleSet(data=np.ones((500, 1)))
 _PROPER_SPEC = ip.ChannelSpec(h=np.eye(1), noise=so.SecondOrderPair.proper(np.eye(1)), power=10.0)
