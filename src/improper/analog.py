@@ -144,9 +144,16 @@ def analog_gaussian_density(model: AnalogGaussianModel, x) -> np.ndarray | float
 
 
 def _sheared_coordinates(samples: second_order.SampleSet) -> np.ndarray:
-    """(N, 2n) array of sheared-polar coordinates (r_1..r_n, phi'_1..phi'_n-1, theta)."""
+    """(N, 2n) array of sheared-polar coordinates (r_1..r_n, phi'_1..phi'_n-1, theta).
+
+    Each radius is in units of its own RMS over the set. The radii are first
+    scaled by the exact power of two that brings the largest into [1/2, 1),
+    so no square leaves float range; a radius that is 0 throughout stays 0.
+    """
     sheared = transforms.polar_to_sheared(transforms.real_to_polar(samples.data))
-    return np.concatenate([sheared.r, sheared.phi], axis=-1)
+    r = np.ldexp(sheared.r, -np.frexp(sheared.r.max(axis=0))[1])
+    np.divide(r, np.sqrt(np.mean(r * r, axis=0)), out=r, where=r.max(axis=0) > 0)
+    return np.concatenate([r, sheared.phi], axis=-1)
 
 
 def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) -> float:
@@ -164,9 +171,10 @@ def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) ->
     also raised when the estimate plunges far below 0 without exact ties.
     Ties in the full representation (repeated samples) raise TiedSamples.
 
-    Unlike knn_entropy and knn_kl_divergence, this estimate does not rescale
-    samples of extreme magnitude to a power-of-two scale: the radii and the
-    phases share no unit, and the phases live on fixed [0, 1) circles.
+    D(x || x_a) has no unit: rescaling a radius shifts both entropies by the
+    same amount. So each radius is measured in units of its own RMS, on the
+    scale of the [0, 1) phases, and the estimate is the same at every scale
+    of x.
     """
     _knn_guard(k, samples)
     n = samples.n

@@ -29,9 +29,11 @@ singular values of H, H^-1, and the eigenvalues of the Hermitian
 g = H^-1 C_z H^-H, whose largest is the ||g||_2 of the high-SNR threshold
 (g is Hermitian, so an eigvalsh, cheaper than an SVD; over 1230 random
 specs at n = 1 to 64 the two norms agree to 1.1e-15 relative, which only a
-budget that close to the EIG_RTOL slack could tell apart). n log(pi e L) is taken at a power-of-two scale where pi e L would
-overflow (entropy._log_pi_e), so a budget up to the float maximum has a
-finite capacity.
+budget that close to the EIG_RTOL slack could tell apart). Nothing in the
+solve leaves float range (linalg's range rule): the high-SNR test compares
+S / 2n with ||g||, the level is S / n + tr(g) / n, and n log(pi e L) is
+n log L + n log(pi e). A threshold beyond the float maximum, g's overflow
+included, lies above every budget: HIGH_SNR is listed with threshold inf.
 
 Out-of-assumption specs are rejected with a precise violation list rather
 than approximated: no general low-SNR water-filling is implemented, because
@@ -60,7 +62,7 @@ from .entropy import (
     DEFAULT_K,
     KNN_ESTIMATE,
     EntropyValue,
-    _log_pi_e,
+    _LOG_PIE,
     complex_gaussian_entropy,
     knn_entropy,
 )
@@ -197,22 +199,24 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     if not h_ok:
         return ChannelFactors(tuple(out))
     h_inv = np.linalg.inv(spec.h)
-    g = h_inv @ spec.noise.cov @ h_inv.conj().T  # the noise referred to the input
-    g = 0.5 * (g + g.conj().T)  # exactly Hermitian
-    thr = 2.0 * n * float(np.linalg.eigvalsh(g)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g reads ||g|| = inf
+        g = 0.5 * (h_inv @ spec.noise.cov @ h_inv.conj().T)  # half the noise referred to the input
+        g = g + g.conj().T  # exactly Hermitian
+    norm = float(np.linalg.eigvalsh(g)[-1]) if np.isfinite(g).all() else np.inf
     # C_z is non-singular here, so S = 0 is below every true threshold, also
-    # where H^-1 C_z H^-H underflows to 0 and thr reads 0
-    if spec.power == 0.0 or spec.power + linalg.EIG_RTOL * thr < thr:
-        out.append(Violation(HIGH_SNR, float(spec.power), thr,
+    # where H^-1 C_z H^-H underflows to 0 and the norm reads 0
+    if spec.power == 0.0 or spec.power / (2.0 * n) < norm * (1.0 - linalg.EIG_RTOL):
+        out.append(Violation(HIGH_SNR, float(spec.power), 2.0 * n * norm,
                              "power below the high-SNR threshold 2n||H^-1 C_z H^-H||"))
     if out:
         return ChannelFactors(tuple(out))
-    level = (spec.power + float(g.trace().real)) / n
+    level = spec.power / n + float(g.trace().real) / n
     p_x = -h_inv @ spec.noise.pcov @ h_inv.T
     # L I - g is exactly Hermitian, as g is
-    input_pair = second_order.SecondOrderPair(cov=level * np.eye(n) - g, pcov=0.5 * (p_x + p_x.T))
+    input_pair = second_order.SecondOrderPair(cov=level * np.eye(n) - g,
+                                              pcov=0.5 * p_x + 0.5 * p_x.T)
     # C_y = L H H^H and P_y = 0, so h(y) = n log(pi e L) + 2 sum log sigma_i(H)
-    h_y = n * _log_pi_e(level, level) + 2.0 * float(np.log(sv).sum())
+    h_y = n * (float(np.log(level)) + _LOG_PIE) + 2.0 * float(np.log(sv).sum())
     capacity = h_y - complex_gaussian_entropy(spec.noise).value
     return ChannelFactors((), CapacityResult(
         capacity_nats=float(capacity),

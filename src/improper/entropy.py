@@ -18,11 +18,10 @@ takes a bare matrix C, whose eigendecomposition linalg.hermitian_eig
 memoizes on C's content: a C factored recently, by validate_pair or by a
 pair's factorization, is not factored again. complex_gaussian_entropy is
 computed once per factorization and cached on it, so the capacity solve
-reads the noise entropy the caller already asked for. log(pi e x) is taken
-as log(pi e 2^-s x) + s log 2 where x's binary exponent s is beyond
-+-_LOG_SCALE_EXP = 1020 (pi e x overflows from about 2.1e307), and as
-np.log(pi e x), bit for bit, within that range. The kNN searches below are
-kept per SampleSet object, not per content.
+reads the noise entropy the caller already asked for. A log-determinant is
+sum log d + n log(pi e) (linalg's range rule), so it is finite for every
+positive float eigenvalue, from the subnormals to the float maximum. The
+kNN searches below are kept per SampleSet object, not per content.
 
 All values are in nats. The complex closed form always agrees with
 real_gaussian_entropy(real_covariance(pair)): a complex Gaussian is the
@@ -163,13 +162,16 @@ d = 2.
 cKDTree and the sorted search compare squared distances, which overflow
 to inf above about 1e154 and lose bits below about 1e-154 (1000 points
 scaled by 1e160 would read an entropy of inf, and by 1e-170 all tie). So
-a sample set whose largest |coordinate| has a binary exponent s beyond
-+-_SCALE_EXP = 256 is searched at 2^-s times its points, an exact scaling,
-and the shift is added back: d s log 2 to the value and s log 2 to the mean
-log distance. knn_kl_divergence's query of p's points into q's tree takes
-one s from both sets. Sets within that range are searched as given, bit
-for bit. divergence_to_analog does not rescale: its radii and phases share
-no unit, and a phase on [0, 1) cannot be rescaled.
+every set is searched at its own power-of-two scale: a SampleSet caches
+the even exponent e for which the RMS modulus of its entries lies in
+[2^(e-1), 2^(e+1)), its search runs on 2^-e times its points, an exact
+scaling, and d e log 2 is added to the value. A set drawn at unit scale
+has e = 0 and is searched as given, bit for bit. knn_kl_divergence's query
+of p's points into q's tree runs at the larger of the two sets' exponents,
+and only the difference of that exponent and p's enters its value, so two
+sets rescaled by one power of four keep their divergence bit for bit.
+divergence_to_analog measures each radius in units of its own RMS
+(analog), so its coordinates need no exponent.
 
 A k-th neighbor distance of 0 (k or more other points at the very same
 place) has no logarithm: the estimators raise TiedSamples, which counts
@@ -185,7 +187,7 @@ search at d = 1 with no period builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -204,15 +206,7 @@ DEFAULT_K = 4
 _MIDPOINT_MAX_DIM = 2
 _LEAF_ORDER_MIN_DIM = 8
 _LEAF_ORDER_LEAFSIZE = 32
-# binary exponent of the largest |coordinate| beyond which a search runs on
-# points scaled by a power of two (the module docstring)
-_SCALE_EXP = 256
-_PI_E = np.pi * np.e
-# binary exponent of the largest x beyond which log(pi e x) is taken on 2^-s x:
-# pi e 2^1021 overflows, and below 2^-1020 an x 1e12 times smaller is subnormal;
-# within it, 2^(s-1) <= x < 2^s puts x in [2^-1021, 2^1020)
-_LOG_SCALE_EXP = 1020
-_LOG_RANGE = (2.0 ** -(_LOG_SCALE_EXP + 1), 2.0 ** _LOG_SCALE_EXP)
+_LOG_PIE = float(np.log(np.pi * np.e))  # log(pi e), the entropy of CN(0, 1)
 
 
 @dataclass(frozen=True)
@@ -227,10 +221,10 @@ def real_gaussian_entropy(s) -> EntropyValue:
     s = linalg.as_matrix(s, dtype=float, square=True)
     if not linalg._symmetric_within_tol(s, hermitian=False):
         raise NotSymmetric("covariance must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
+    eigs = np.linalg.eigvalsh(0.5 * s + 0.5 * s.T)
     if linalg._not_positive(eigs[0], eigs[-1]):
         raise NotPositiveDefinite(f"smallest eigenvalue {eigs[0]:.3e} not positive")
-    value = 0.5 * float(np.sum(np.log(2.0 * np.pi * np.e * eigs)))
+    value = 0.5 * float(np.log(eigs).sum() + eigs.size * np.log(2.0 * np.pi * np.e))
     return EntropyValue(value=value, method=CLOSED_FORM)
 
 
@@ -250,21 +244,8 @@ def neeser_massey_bound(c) -> EntropyValue:
 
 
 def _log_det_pi_e(d) -> float:
-    """log det(pi e C) from the positive eigenvalues d of C, descending."""
-    return float(_log_pi_e(d, d[0]).sum())
-
-
-def _log_pi_e(x, largest):
-    """log(pi e x) of each 0 < x <= largest, also where pi e x overflows.
-
-    Beyond 2^+-_LOG_SCALE_EXP (largest's binary exponent s, as _scale_exponent
-    takes it) the logarithm is taken of 2^-s x, an exact scaling, and s log 2
-    added back. Within that range it is np.log(pi e x), bit for bit.
-    """
-    if _LOG_RANGE[0] <= largest < _LOG_RANGE[1]:
-        return np.log(_PI_E * x)
-    s = int(np.frexp(largest)[1])
-    return np.log(_PI_E * np.ldexp(x, -s)) + s * np.log(2.0)
+    """log det(pi e C) = sum log d + n log(pi e), from the positive eigenvalues d of C."""
+    return float(np.log(d).sum()) + d.size * _LOG_PIE
 
 
 def complex_gaussian_entropy(pair: second_order.SecondOrderPair) -> EntropyValue:
@@ -410,8 +391,9 @@ class _SelfSearch:
     visited the points in, which knn_kl_divergence's query of them into
     another set's tree reuses. Without ties, value and stderr are the
     Kozachenko-Leonenko estimate and its standard error, and mean_log_rho
-    is the mean of log rho; with ties all three are NaN. Only the order
-    and scalars are kept, not the N distances.
+    is the mean of log rho in the unit of the points searched (2^e for a
+    set searched at its exponent e); with ties all three are NaN. Only the
+    order and scalars are kept, not the N distances.
     """
 
     count: int
@@ -429,11 +411,14 @@ class _SelfSearch:
         return self
 
 
-def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
+def _search_points(points: np.ndarray, k: int, boxsize=None, exponent: int = 0) -> _SelfSearch:
     """Each row's distance rho to its k-th nearest other row (_kth_other_distance),
     reduced to the scalars of a _SelfSearch, with the order that visited the rows.
 
-    boxsize follows cKDTree: per-dimension period, 0 = not periodic.
+    boxsize follows cKDTree: per-dimension period, 0 = not periodic. Points
+    searched at 2^-e times their scale, e = exponent, give the entropy at
+    their own scale: d e log 2 is added to the value. mean_log_rho stays in
+    the unit of the points searched.
     """
     from scipy.special import digamma
 
@@ -446,36 +431,26 @@ def _search_points(points: np.ndarray, k: int, boxsize=None) -> _SelfSearch:
         return _SelfSearch(n, d, ties, order)
     log_rho = np.log(rho)
     terms = digamma(n) - digamma(k) + _unit_ball_log_volume(d) + d * log_rho
-    return _SelfSearch(n, d, 0, order, float(terms.mean()),
+    return _SelfSearch(n, d, 0, order, float(terms.mean() + d * exponent * np.log(2.0)),
                        float(terms.std(ddof=1) / np.sqrt(n)), float(log_rho.mean()))
 
 
-def _scale_exponent(*point_sets: np.ndarray) -> int:
-    """s with 2^(s-1) <= the largest |coordinate| < 2^s when |s| > _SCALE_EXP, else 0.
-
-    Points times 2^-s have their largest |coordinate| in [1/2, 1); the
-    scaling is exact, and np.ldexp(points, -s) computes it.
-    """
-    s = int(np.frexp(max(float(np.abs(points).max()) for points in point_sets))[1])
-    return s if abs(s) > _SCALE_EXP else 0
+def _scaled_points(samples: second_order.SampleSet, e: int) -> np.ndarray:
+    """The set's real representation times 2^-e, exact unless a result is subnormal."""
+    points = linalg.real_vector(samples.data)
+    return np.ldexp(points, -e, out=points)
 
 
 def _self_search(samples: second_order.SampleSet, k: int) -> _SelfSearch:
     """The set's search for k, over its real representation; cached on the set on first use.
 
-    Points beyond the exponent range of _scale_exponent are searched at
-    2^-s times their size, and the shift added back (the module docstring).
+    Searched at 2^-e times the points, e the set's exponent, with d e log 2
+    added to the value (the module docstring).
     """
     found = samples._searches.get(k)
     if found is None:
-        points = linalg.real_vector(samples.data)
-        s = _scale_exponent(points)
-        found = _search_points(np.ldexp(points, -s) if s else points, k)
-        if s:
-            shift = s * np.log(2.0)
-            found = replace(found, value=found.value + found.dim * shift,
-                            mean_log_rho=found.mean_log_rho + shift)
-        samples._searches[k] = found
+        e = samples._exponent
+        found = samples._searches[k] = _search_points(_scaled_points(samples, e), k, exponent=e)
     return found
 
 
@@ -514,20 +489,19 @@ def knn_kl_divergence(
     D-hat = d (mean log nu - mean log rho) + log(M / (N - 1)). mean log rho
     is read from p's cached search for k; only q's tree is built here, and
     p's points are queried into it in the order p's search visited them.
-    The query takes one power-of-two scale for p and q (the module docstring).
+    The query runs at the larger of p's and q's exponents (the module docstring).
     Raises TiedSamples when either distance is 0 for some p-point.
     """
     if p_samples.n != q_samples.n:
         raise DimensionMismatch("sample sets must share the dimension")
     _knn_guard(k, p_samples, q_samples)
     search = _self_search(p_samples, k).untied(f"k-th neighbor distance within p (k={k})")
-    x, y = linalg.real_vector(p_samples.data), linalg.real_vector(q_samples.data)
-    s = _scale_exponent(x, y)
-    if s:
-        x, y = np.ldexp(x, -s), np.ldexp(y, -s)
+    e = max(p_samples._exponent, q_samples._exponent)
+    x, y = _scaled_points(p_samples, e), _scaled_points(q_samples, e)
     nu = _kth_distance(_tree(y)[0], x[search.order], k, search.order)
     _check_ties(nu, f"k-th neighbor distance into q (k={k})")
-    mean_log_nu = float(np.log(nu).mean()) + s * np.log(2.0)
+    # in the unit of p's search, 2^p._exponent, as mean_log_rho is
+    mean_log_nu = float(np.log(nu).mean()) + (e - p_samples._exponent) * np.log(2.0)
     est = (search.dim * (mean_log_nu - search.mean_log_rho)
            + np.log(q_samples.count / (search.count - 1)))
     return max(0.0, float(est))

@@ -18,8 +18,17 @@ already has; _asymmetry, _eig_limits and _eighs also take stacks
 second_order's stacked pair factorization. _asymmetry scales by an exact
 power of two, so a subnormal or a near-overflow matrix gets the verdict of
 the same matrix at scale 1, and a matrix equal to its transpose entry for
-entry reads 0 after one comparison; _eighs halves A before adding A^H, so
-entries up to the float maximum do not overflow.
+entry reads 0 after one comparison.
+
+The package keeps its values in float range by how it writes them, not by
+range tests. Only two places square raw entries: the Frobenius norms of
+_asymmetry, after the exact scaling above, and the kd-tree distances of
+entropy's searches, which search each sample set at a power-of-two scale
+of its own. Every symmetric or Hermitian part, here and in second_order,
+entropy and capacity, is halved before it is added, 0.5 A + 0.5 A^T (or
+A^H): that has the bits of 0.5 (A + A^T) in the normal range, and entries
+up to the float maximum stay finite. A log-determinant is a sum of logs
+plus a constant, log det(pi e C) = sum log d + n log(pi e).
 
 Beside it sits the one input gate, which decides what a well-formed input
 is and which error names each fault: as_matrix admits every matrix and
@@ -97,10 +106,13 @@ def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
     """a as a finite non-empty 2-D dtype array, square if square.
 
     Raises DomainError for entries that are not numbers (strings, quoted
-    numbers, objects, booleans), DimensionMismatch for a wrong shape and
-    DomainError for a non-finite entry.
+    numbers, objects, booleans), DimensionMismatch for a wrong shape (rows
+    of different lengths included) and DomainError for a non-finite entry.
     """
-    a = np.asarray(a)
+    try:
+        a = np.asarray(a)
+    except ValueError:  # a ragged nested list has no shape
+        raise DimensionMismatch("expected a matrix, got rows of different lengths") from None
     if a.dtype.kind not in "iufc":  # a bool is not a number, as in files and counts
         raise DomainError(f"matrix entries must be numbers, got dtype {a.dtype}")
     a = a.astype(dtype, copy=False)
@@ -318,9 +330,8 @@ def _eighs(a):
 
     One stacked eigh, d descending along the last axis (eigh's ascending
     order reversed, as views); no test and no memo. Each matrix gets the bits an eigh
-    of it alone gives. A is halved before the sum, which gives the bits of
-    0.5 (A + A^H) wherever that does not overflow (entries up to the float
-    maximum stay finite); a subnormal entry may differ in its last bit.
+    of it alone gives. A is halved before the sum (the module docstring); a
+    subnormal entry may differ in its last bit.
     """
     h = 0.5 * a
     d, u = np.linalg.eigh(h + h.conj().swapaxes(-1, -2))
@@ -373,7 +384,7 @@ def takagi(a) -> TakagiFactorization:
     a = as_matrix(a, square=True)
     if not _symmetric_within_tol(a, hermitian=False):
         raise NotSymmetric("matrix is not complex symmetric within tolerance")
-    return _takagi(0.5 * (a + a.T))
+    return _takagi(0.5 * a + 0.5 * a.T)
 
 
 def _takagi(a: np.ndarray) -> TakagiFactorization:

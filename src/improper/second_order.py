@@ -165,7 +165,7 @@ class PairFactors:
         takagi's input test is skipped.
         """
         self.spectrum()  # raises when C is not positive definite (M undefined)
-        fac = linalg._takagi(0.5 * (self.m + self.m.T))
+        fac = linalg._takagi(0.5 * self.m + 0.5 * self.m.T)
         return linalg.TakagiFactorization(q=linalg._sealed(fac.q), sigma=linalg._sealed(fac.sigma))
 
 
@@ -371,6 +371,23 @@ class SampleSet:
         """k -> the estimators' kNN self-search record (entropy._self_search)."""
         return {}
 
+    @cached_property
+    def _exponent(self) -> int:
+        """The even e with the RMS modulus of the entries in [2^(e-1), 2^(e+1)).
+
+        The kNN searches run at 2^-e times the points (entropy). The entries
+        are first scaled by the exact power of two 2^-s that brings the
+        largest |real or imaginary part| into [1/2, 1), so no square leaves
+        float range; a set of zeros has e = 0. numpy's own sum, not a BLAS
+        dot: a threaded dot leaves BLAS threads spinning beside the kd-tree
+        query that follows.
+        """
+        parts = self.data.view(float).ravel()
+        s = int(np.frexp(np.abs(parts).max())[1])
+        scaled = np.ldexp(parts, -s)
+        t = int(np.frexp(np.sqrt(2.0 * np.mean(scaled * scaled)))[1])
+        return 2 * ((s + t) // 2)
+
     @property
     def count(self) -> int:
         return self.data.shape[0]
@@ -387,7 +404,7 @@ def real_covariance(pair: SecondOrderPair) -> np.ndarray:
     Hermitian C and symmetric P.
     """
     s = 0.5 * linalg.overline_map(pair.cov) + 0.5 * linalg.underline_map(pair.pcov)
-    return 0.5 * (s + s.T)
+    return 0.5 * s + 0.5 * s.T
 
 
 def pair_from_real_covariance(s) -> SecondOrderPair:
@@ -395,21 +412,24 @@ def pair_from_real_covariance(s) -> SecondOrderPair:
 
     With blocks S = [[S11, S12], [S21, S22]]:
     C = (S11 + S22) + i (S21 - S12), P = (S11 - S22) + i (S21 + S12).
-    Round-trips with real_covariance. Raises NotSymmetric / NotPositiveSemidefinite.
+    Round-trips with real_covariance. Raises NotSymmetric /
+    NotPositiveSemidefinite, and DomainError when an entry of C or P lies
+    beyond float range.
     """
     s = linalg.as_matrix(s, dtype=float, square=True)
     if s.shape[0] % 2 != 0:
         raise DimensionMismatch(f"expected a 2n x 2n real matrix, got {s.shape}")
     if not linalg._symmetric_within_tol(s, hermitian=False):
         raise NotSymmetric("real covariance must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
+    eigs = np.linalg.eigvalsh(0.5 * s + 0.5 * s.T)
     if linalg._negative(eigs[0], eigs[-1]):
         raise NotPositiveSemidefinite(f"negative eigenvalue {eigs[0]:.3e}")
     n = s.shape[0] // 2
     s11, s12 = s[:n, :n], s[:n, n:]
     s21, s22 = s[n:, :n], s[n:, n:]
-    c = (s11 + s22) + 1j * (s21 - s12)
-    p = (s11 - s22) + 1j * (s21 + s12)
+    with np.errstate(over="ignore", invalid="ignore"):  # the pair's gate rejects an inf
+        c = (s11 + s22) + 1j * (s21 - s12)
+        p = (s11 - s22) + 1j * (s21 + s12)
     return SecondOrderPair(cov=c, pcov=p)
 
 
@@ -481,6 +501,6 @@ def empirical_pair(samples: SampleSet) -> SecondOrderPair:
     n = samples.count
     c = d.T @ d.conj() / n
     p = d.T @ d / n
-    c = 0.5 * (c + c.conj().T)
-    p = 0.5 * (p + p.T)
+    c = 0.5 * c + 0.5 * c.conj().T
+    p = 0.5 * p + 0.5 * p.T
     return SecondOrderPair(cov=c, pcov=p, mean=m)

@@ -47,7 +47,7 @@ from .errors import DegenerateConditional
 
 DEFAULT_SAMPLES = 100_000
 N_REF = 100_000
-_LOG_PI_E = float(np.log(np.pi * np.e))
+_LOG_PIE = float(np.log(np.pi * np.e))
 _K = entropy.DEFAULT_K
 
 
@@ -399,9 +399,9 @@ def _gaussian_closed_forms(rng, samples):
             h_c = entropy.complex_gaussian_entropy(pair).value
             h_r = entropy.real_gaussian_entropy(second_order.real_covariance(pair)).value
             route = max(route, abs(h_c - h_r))
-    exact = max(abs(entropy.complex_gaussian_entropy(_PROPER).value - _LOG_PI_E),
+    exact = max(abs(entropy.complex_gaussian_entropy(_PROPER).value - _LOG_PIE),
                 abs(entropy.complex_gaussian_entropy(_IMPROPER).value
-                    - (_LOG_PI_E + 0.5 * np.log(1.0 - 0.64))))
+                    - (_LOG_PIE + 0.5 * np.log(1.0 - 0.64))))
     return [
         _result("complex vs real Gaussian closed forms",
                 "max abs diff {measured:.2e} (tol {tol:.0e})", route, 1e-9, samples=200),
@@ -415,7 +415,7 @@ def _circular_knn_entropy(rng, samples):
     h = entropy.knn_entropy(second_order.sample_gaussian(_PROPER, samples, _seed(rng)))
     return [_result("kNN entropy vs circular Gaussian",
                     "err {measured:.4f} (tol {tol:.4f} at N={N})",
-                    abs(h.value - _LOG_PI_E), _scaled(0.02, samples), samples=samples, k=_K, d=2)]
+                    abs(h.value - _LOG_PIE), _scaled(0.02, samples), samples=samples, k=_K, d=2)]
 
 
 @_check("improper Gaussian kNN entropy")
@@ -448,8 +448,8 @@ def _improper_knn_entropy(rng, samples):
                 h_a.value - h.value, -three_se, at_least=True, three_se=three_se, **est),
         _result("analog entropy sits between the bounds",
                 "{h:.4f} < {h_a:.4f} < {hi:.4f}, margin {measured:.4f} (need {tol:.4f})",
-                min(h_a.value - h.value, _LOG_PI_E - h_a.value), need, at_least=True,
-                h=h.value, h_a=h_a.value, hi=_LOG_PI_E, **est),
+                min(h_a.value - h.value, _LOG_PIE - h_a.value), need, at_least=True,
+                h=h.value, h_a=h_a.value, hi=_LOG_PIE, **est),
     ]
 
 

@@ -84,8 +84,8 @@ MUTANTS = {
         "improper noise raises capacity by the closed-form bonus"),
     "high-snr-threshold-without-factor-two": Mutant(
         capacity, "_factor_channel",
-        "thr = 2.0 * n * float(np.linalg.eigvalsh(g)[-1])",
-        "thr = n * float(np.linalg.eigvalsh(g)[-1])",
+        "spec.power / (2.0 * n)",
+        "spec.power / n",
         ("high-SNR threshold",), 1, 1000, "HIGH_SNR flagged exactly below the threshold"),
     "loss-halved": Mutant(
         capacity, "capacity_loss",

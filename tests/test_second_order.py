@@ -62,6 +62,7 @@ FAULTS = {
     "object": (np.eye(2).astype(object), DomainError),
     "dict": ({"re": [[1.0]]}, DomainError),
     "bool": (np.eye(2, dtype=bool), DomainError),
+    "ragged": ([[1.0, 2.0], [3.0]], DimensionMismatch),
 }
 _SAMPLES = so.SampleSet(data=np.ones((500, 1)))
 _PROPER_SPEC = ip.ChannelSpec(h=np.eye(1), noise=so.SecondOrderPair.proper(np.eye(1)), power=10.0)
@@ -78,6 +79,9 @@ OTHER_FAULTS = {
     "C/P shapes differ": (lambda: so.SecondOrderPair(cov=np.eye(2), pcov=np.eye(3)),
                           DimensionMismatch),
     "odd 2n": (lambda: so.pair_from_real_covariance(np.eye(3)), DimensionMismatch),
+    # C = S11 + S22 = 2e308 I has no float
+    "C beyond float range": (lambda: so.pair_from_real_covariance(1e308 * np.eye(4)),
+                             DomainError),
     "odd real vector": (lambda: linalg.complex_vector(np.ones(3)), DimensionMismatch),
     "PolarPoint r/phi": (lambda: ip.PolarPoint(r=np.ones(2), phi=np.ones(3)), DimensionMismatch),
     "SampleSet 0 rows": (lambda: so.SampleSet(data=np.zeros((0, 2))), DimensionMismatch),
