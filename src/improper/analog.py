@@ -63,11 +63,14 @@ def log_bessel_i0(x) -> np.ndarray | float:
     """log I0(x) for finite x >= 0 without overflow (I0 grows like e^x).
 
     x + log(i0e(x)) with scipy's exponentially scaled I0, loaded on first call.
-    Raises DomainError for a negative or non-finite argument.
+    Raises DomainError for a negative, non-finite or non-real argument.
     """
     from scipy.special import i0e
 
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":  # as in linalg.as_matrix, a bool is not a number
+        raise DomainError(f"bessel_i0 expects real numbers, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise DomainError("bessel_i0 expects finite non-negative arguments")
     out = x + np.log(i0e(x))
@@ -107,9 +110,10 @@ def analog_gaussian_model(pair: second_order.SecondOrderPair) -> AnalogGaussianM
 def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | float:
     """log density of the circular analog of the model's Gaussian at x.
 
-    x may be a single complex n-vector or an (..., n) batch; a wrong last
-    axis raises DimensionMismatch and a non-finite entry DomainError. In
-    standardized coordinates y = W x the density is
+    x may be a single complex n-vector or an (..., n) batch; an entry that
+    is not a finite number raises DomainError (linalg.as_matrix) and a wrong
+    last axis DimensionMismatch. In standardized coordinates y = W x the
+    density is
 
         pi^-n prod(1 - lambda_i^2)^-1/2
         * exp(-sum |y_i|^2 / (1 - lambda_i^2))
@@ -121,11 +125,11 @@ def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | f
     """
     lam = model.lambdas
     n = lam.size
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
+    points = linalg.as_matrix(x.reshape(1, -1))  # DomainError for a non-number or non-finite entry
     if x.shape[-1:] != (n,):
         raise DimensionMismatch(f"expected points with last axis {n}, got shape {x.shape}")
-    linalg.as_matrix(x.reshape(-1, n))  # DomainError for a non-finite entry
-    y = x @ model.whitener.T
+    y = points.reshape(x.shape) @ model.whitener.T
     one_minus = 1.0 - lam**2
     d = lam / one_minus
     quad = np.sum((y.real**2 + y.imag**2) / one_minus, axis=-1)

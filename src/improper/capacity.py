@@ -6,11 +6,14 @@ The capacity is I = h(y) - h(z) at the optimal Gaussian input, which fills
 every eigenchannel to one water level L = (S + tr(H^-1 C_z H^-H)) / n:
 C_x = L I - H^-1 C_z H^-H and P_x = -H^-1 P_z H^-T, so the input's
 complementary covariance actively cancels the noise's. The output is then
-proper with C_y = L H H^H, and
+proper with C_y = L H H^H. Both entropies carry n log(pi e), which cancels,
+so with d_i the eigenvalues of C_z and lambda_i its circularity coefficients
 
-    capacity = n log(pi e L) + 2 sum log sigma_i(H) - h(z),
+    capacity = n log L + 2 sum log sigma_i(H) - sum log d_i
+               - 0.5 sum log(1 - lambda_i^2).
 
-with h(z) the noise pair's closed-form entropy (complex_gaussian_entropy).
+The last term is the improperness gain: the rate improper noise adds over
+proper noise of the same covariance.
 
 A ChannelSpec is immutable and solved once, on first use: ChannelSpec.factors
 holds the assumption list and, for an admissible spec, the sealed
@@ -21,8 +24,7 @@ below n log(2/sqrt(3))), reads mu = sigma(P_x) / L, and scalar_powers, the
 real/imaginary power split of the scalar channel, reads the real covariances
 of the noise and the input. None of them has a formula or an assumption
 check of its own. The noise pair's cached factorization supplies its
-validity, eigenvalues, circularity coefficients and entropy (cached on it,
-so a pair whose entropy was asked for is not summed again).
+validity, eigenvalues and circularity coefficients.
 
 The solve takes three LAPACK calls and reads H through the spec alone: the
 singular values of H, H^-1, and the eigenvalues of the Hermitian
@@ -31,9 +33,9 @@ g = H^-1 C_z H^-H, whose largest is the ||g||_2 of the high-SNR threshold
 specs at n = 1 to 64 the two norms agree to 1.1e-15 relative, which only a
 budget that close to the EIG_RTOL slack could tell apart). Nothing in the
 solve leaves float range (linalg's range rule): the high-SNR test compares
-S / 2n with ||g||, the level is S / n + tr(g) / n, and n log(pi e L) is
-n log L + n log(pi e). A threshold beyond the float maximum, g's overflow
-included, lies above every budget: HIGH_SNR is listed with threshold inf.
+S / 2n with ||g||, the level is S / n + tr(g) / n, and the capacity is a
+sum of logs. A threshold beyond the float maximum, g's overflow included,
+lies above every budget: HIGH_SNR is listed with threshold inf.
 
 Out-of-assumption specs are rejected with a precise violation list rather
 than approximated: no general low-SNR water-filling is implemented, because
@@ -62,7 +64,6 @@ from .entropy import (
     DEFAULT_K,
     KNN_ESTIMATE,
     EntropyValue,
-    _LOG_PIE,
     complex_gaussian_entropy,
     knn_entropy,
 )
@@ -215,9 +216,10 @@ def _factor_channel(spec: ChannelSpec) -> ChannelFactors:
     # L I - g is exactly Hermitian, as g is
     input_pair = second_order.SecondOrderPair(cov=level * np.eye(n) - g,
                                               pcov=0.5 * p_x + 0.5 * p_x.T)
-    # C_y = L H H^H and P_y = 0, so h(y) = n log(pi e L) + 2 sum log sigma_i(H)
-    h_y = n * (float(np.log(level)) + _LOG_PIE) + 2.0 * float(np.log(sv).sum())
-    capacity = h_y - complex_gaussian_entropy(spec.noise).value
+    # C_y = L H H^H and P_y = 0, so the n log(pi e) of h(y) and of h(z) cancel
+    capacity = n * float(np.log(level)) + 2.0 * float(np.log(sv).sum())
+    capacity -= float(np.log(noise.d).sum())
+    capacity -= 0.5 * float(np.log1p(-(noise.lambdas**2)).sum())  # the improperness gain
     return ChannelFactors((), CapacityResult(
         capacity_nats=float(capacity),
         input_pair=input_pair,

@@ -16,9 +16,7 @@ entropy, and the circularity coefficients give the correction, so a pair is
 factored once however many of them are asked for. neeser_massey_bound also
 takes a bare matrix C, whose eigendecomposition linalg.hermitian_eig
 memoizes on C's content: a C factored recently, by validate_pair or by a
-pair's factorization, is not factored again. complex_gaussian_entropy is
-computed once per factorization and cached on it, so the capacity solve
-reads the noise entropy the caller already asked for. A log-determinant is
+pair's factorization, is not factored again. A log-determinant is
 sum log d + n log(pi e) (linalg's range rule), so it is finite for every
 positive float eigenvalue, from the subnormals to the float maximum. The
 kNN searches below are kept per SampleSet object, not per content.
@@ -251,21 +249,14 @@ def _log_det_pi_e(d) -> float:
 def complex_gaussian_entropy(pair: second_order.SecondOrderPair) -> EntropyValue:
     """Entropy of the complex Gaussian with moments (C, P).
 
-    log det(pi e C) + 0.5 sum log(1 - lambda_i^2); requires every circularity
-    coefficient below 1 (SpectrumAtOne otherwise) and a valid non-singular pair.
-    Computed once per factorization and cached on it (PairFactors.gaussian_entropy).
+    log det(pi e C) + 0.5 sum log(1 - lambda_i^2), read from the pair's
+    factorization; requires every circularity coefficient below 1
+    (SpectrumAtOne otherwise) and a valid non-singular pair, whose C passed
+    the positivity test neeser_massey_bound makes.
     """
-    return pair.factors.gaussian_entropy
-
-
-def _gaussian_entropy(factors: second_order.PairFactors) -> EntropyValue:
-    """complex_gaussian_entropy of the pair whose factorization is factors.
-
-    A valid pair's C passed the positivity test neeser_massey_bound makes.
-    """
+    factors = pair.factors
     lambdas = factors.spectrum_below_one()
-    value = (_log_det_pi_e(factors.cov_eigenvalues())
-             + 0.5 * float(np.log1p(-(lambdas**2)).sum()))
+    value = _log_det_pi_e(factors.d) + 0.5 * float(np.log1p(-(lambdas**2)).sum())
     return EntropyValue(value=value, method=CLOSED_FORM)
 
 

@@ -26,10 +26,10 @@ A SecondOrderPair holds sealed copies of C, P and the mean
 first use (``pair.factors``); every later spectrum, validity verdict,
 entropy, analog model or capacity solve of that pair reads the same
 factorization, whose arrays are sealed too, so no reader can change what
-the next one reads. The Gaussian entropy and the Takagi factors are cached
-on the factorization on first use. The factorization is also memoized on
-the content of (C, P) (linalg._memo, the last linalg._MEMO_ENTRIES distinct
-pairs), and the eigendecomposition of C on C's content
+the next one reads. The Takagi factors are cached on the factorization on
+first use. The factorization is also memoized on the content of (C, P)
+(linalg._memo, the last linalg._MEMO_ENTRIES distinct pairs), and the
+eigendecomposition of C on C's content
 (linalg.hermitian_eig): so validate_pair(c, p), SecondOrderPair(c, p) and
 neeser_massey_bound(c) on the same arrays take one eigendecomposition of C
 and one SVD of M between them. validate_pair gates (C, P) and reads that
@@ -44,8 +44,7 @@ and Python, and at n <= 8 the wrapping costs more than the calls. So the
 batch of one does no step twice: each asymmetry is taken once (C's inside
 hermitian_eig's memo, where a hit skips it), a matrix equal to its
 transpose entry for entry skips the norms, d, B^-1, M and the lambdas are
-sealed once per stack, and validate_pair builds no pair. Per-step costs of
-the whole closed-form chain are in README ("Library").
+sealed once per stack, and validate_pair builds no pair.
 
 A SampleSet likewise holds a sealed copy of its array, and the kNN
 estimators search it once per k per set object (entropy).
@@ -143,17 +142,6 @@ class PairFactors:
         if linalg._at_one(self.validity.max_lambda):
             raise SpectrumAtOne(f"max circularity coefficient {self.validity.max_lambda:.12g}")
         return self.lambdas
-
-    @cached_property
-    def gaussian_entropy(self):
-        """entropy.complex_gaussian_entropy of the pair, computed on first use.
-
-        A failed requirement raises each time (a fresh exception), as the
-        spectrum does.
-        """
-        from .entropy import _gaussian_entropy  # entropy imports this module
-
-        return _gaussian_entropy(self)
 
     @cached_property
     def takagi(self) -> linalg.TakagiFactorization:
@@ -491,11 +479,17 @@ def empirical_pair(samples: SampleSet) -> SecondOrderPair:
     """Sample mean and centered 1/N second moments of a sample set.
 
     C-hat is Hermitian and P-hat symmetric by construction. Requires at
-    least two vectors.
+    least two vectors. The moments are taken of 2^-s x, the exact power of
+    two that brings the largest |real or imaginary part| into [1/2, 1), so
+    no product leaves float range, and scaled back by 2^s and 2^2s: within
+    range that gives the bits of the unscaled sums, and a moment beyond the
+    float maximum fails the pair's gate (DomainError).
     """
     if samples.count < 2:
         raise TooFewSamples("empirical_pair needs at least 2 samples")
-    x = samples.data
+    parts = samples.data.view(float)
+    s = int(np.frexp(np.abs(parts).max())[1])
+    x = np.ldexp(parts, -s).view(complex)
     m = x.mean(axis=0)
     d = x - m
     n = samples.count
@@ -503,4 +497,6 @@ def empirical_pair(samples: SampleSet) -> SecondOrderPair:
     p = d.T @ d / n
     c = 0.5 * c + 0.5 * c.conj().T
     p = 0.5 * p + 0.5 * p.T
-    return SecondOrderPair(cov=c, pcov=p, mean=m)
+    with np.errstate(over="ignore"):  # an inf moment is the gate's to reject
+        c, p = (np.ldexp(a.view(float), 2 * s).view(complex) for a in (c, p))
+    return SecondOrderPair(cov=c, pcov=p, mean=np.ldexp(m.view(float), s).view(complex))

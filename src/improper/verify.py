@@ -619,20 +619,17 @@ def _circular_competitor(rng, samples):
 # capacity
 
 _SCALAR = capacity.ChannelSpec(h=np.eye(1), noise=_PROPER, power=2.0)
-_IMPROPER_NOISE = capacity.ChannelSpec(
-    h=np.eye(1), noise=second_order.SecondOrderPair(cov=np.eye(1), pcov=np.array([[0.5]])),
-    power=2.0)
 
 
 @_check("worked capacity examples")
 def _worked_capacity(rng, samples):
-    two_dim = capacity.ChannelSpec(
-        h=np.eye(2), noise=second_order.SecondOrderPair.proper(np.eye(2)), power=8.0)
-    worst = max(
-        abs(capacity.solve_capacity(_SCALAR).capacity_nats - np.log(3)),
-        abs(capacity.solve_capacity(_IMPROPER_NOISE).capacity_nats
-            - (np.log(3) - 0.5 * np.log(0.75))),
-        abs(capacity.solve_capacity(two_dim).capacity_nats - 2 * np.log(5)))
+    # fresh specs: a solve cached on a module-level spec would outlive a changed solver
+    improper_noise = second_order.SecondOrderPair(cov=np.eye(1), pcov=np.array([[0.5]]))
+    worked = ((np.eye(1), _PROPER, 2.0, np.log(3)),
+              (np.eye(1), improper_noise, 2.0, np.log(3) - 0.5 * np.log(0.75)),
+              (np.eye(2), second_order.SecondOrderPair.proper(np.eye(2)), 8.0, 2 * np.log(5)))
+    worst = max(abs(capacity.solve_capacity(capacity.ChannelSpec(h=h, noise=z, power=s))
+                    .capacity_nats - exact) for h, z, s, exact in worked)
     return [_result("worked capacity examples", "max abs err {measured:.2e} (tol {tol:.0e})",
                     worst, 1e-12)]
 

@@ -9,12 +9,12 @@ globals and swapped in with monkeypatch, so every caller that looks the
 function up in its module runs it, and it is gone after the test.
 
 A check that reads a solve cached on a module-level object (verify._SCALAR,
-verify._IMPROPER_NOISE, and the pairs' factorizations) would not run the
-mutant; the channel mutants are therefore caught by a check that builds fresh
-specs, and no check here caches a mutated result on such an object. The
-factorization memos (linalg._memo) would likewise hand the mutated run the
-clean run's factorization of the same seeded matrices, so they are emptied
-between the two runs.
+and the pairs' factorizations) would not run the mutant; the channel mutants
+are therefore caught by checks that build fresh specs, and no check here
+caches a mutated result on such an object. The factorization memos
+(linalg._memo) would likewise hand the mutated run the clean run's
+factorization of the same seeded matrices, so they are emptied between the
+two runs.
 """
 
 import __future__
@@ -56,9 +56,9 @@ MUTANTS = {
         "nu = _kth_distance(_tree(y)[0], x[search.order], k + 1, search.order)",
         ("kNN divergence",), 1, 20_000, "kNN divergence of identical distributions"),
     "gaussian-entropy-quarter-correction": Mutant(
-        entropy, "_gaussian_entropy",
-        "+ 0.5 * float(np.log1p(-(lambdas**2)).sum()))",
-        "+ 0.25 * float(np.log1p(-(lambdas**2)).sum()))",
+        entropy, "complex_gaussian_entropy",
+        "+ 0.5 * float(np.log1p(-(lambdas**2)).sum())",
+        "+ 0.25 * float(np.log1p(-(lambdas**2)).sum())",
         ("Gaussian closed forms",), 1, 1000, "complex vs real Gaussian closed forms"),
     "input-pcov-zero": Mutant(
         capacity, "_factor_channel",
@@ -77,11 +77,15 @@ MUTANTS = {
         ("random admissible specs",), 1, 1000, "solved input achieves capacity"),
     "capacity-without-improperness-bonus": Mutant(
         capacity, "_factor_channel",
-        "capacity = h_y - complex_gaussian_entropy(spec.noise).value",
-        "capacity = h_y - complex_gaussian_entropy("
-        "second_order.SecondOrderPair.proper(spec.noise.cov)).value",
+        "capacity -= 0.5 * float(np.log1p(-(noise.lambdas**2)).sum())",
+        "capacity -= 0.0",
         ("capacity in power and noise",), 1, 1000,
         "improper noise raises capacity by the closed-form bonus"),
+    "water-level-without-referred-noise": Mutant(
+        capacity, "_factor_channel",
+        "level = spec.power / n + float(g.trace().real) / n",
+        "level = spec.power / n",
+        ("worked capacity examples",), 1, 1000, "worked capacity examples"),
     "high-snr-threshold-without-factor-two": Mutant(
         capacity, "_factor_channel",
         "spec.power / (2.0 * n)",
@@ -131,7 +135,7 @@ WITHOUT_MUTANT = (
     "circular competitor divergence", "circularized BPSK input", "circularized improper inputs",
     "degenerate radius", "embedding identities", "improper Gaussian kNN entropy",
     "mixture entropy gap", "polar density integral", "scalar power split",
-    "transform round trips", "worked capacity examples",
+    "transform round trips",
 )
 
 

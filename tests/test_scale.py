@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from improper import analog, capacity, entropy, linalg, second_order as so
+from improper.errors import DomainError
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -53,3 +54,15 @@ def test_a_referred_noise_beyond_float_range_is_below_the_high_snr_threshold():
                                 power=1.0)
     v, = capacity.check_assumptions(spec)
     assert (v.name, v.measured, v.threshold) == (capacity.HIGH_SNR, 1.0, np.inf)
+
+
+def test_empirical_moments_scale_exactly_and_fail_the_gate_beyond_float_range():
+    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(2)), 1000, seed=93).data
+    emp = so.empirical_pair(so.SampleSet(data=x))
+    a = 2.0 ** 510  # C of about 4^510 = 2^1020 still has a float
+    scaled = so.empirical_pair(so.SampleSet(data=a * x))
+    np.testing.assert_array_equal(scaled.cov, a * a * emp.cov)
+    np.testing.assert_array_equal(scaled.pcov, a * a * emp.pcov)
+    np.testing.assert_array_equal(scaled.mean, a * emp.mean)
+    with pytest.raises(DomainError):
+        so.empirical_pair(so.SampleSet(data=1e200 * x))

@@ -105,6 +105,13 @@ OTHER_FAULTS = {
 TABLE = [pytest.param(lambda call=call, a=a: call(a), error, id=f"{name}-{fault}")
          for name, (call, square) in GATED.items()
          for fault, (a, error) in FAULTS.items() if square or fault != "non-square"]
+# the density's points and the Bessel argument are numbers too
+_MODEL = ip.analog_gaussian_model(so.SecondOrderPair.proper(np.eye(2)))
+NUMBERS = {"analog_gaussian_density": lambda a: ip.analog_gaussian_density(_MODEL, a),
+           "bessel_i0": ip.bessel_i0}
+TABLE += [pytest.param(lambda call=call, a=FAULTS[fault][0]: call(a), FAULTS[fault][1],
+                       id=f"{name}-{fault}")
+          for name, call in NUMBERS.items() for fault in ("str", "quoted number", "object", "bool")]
 TABLE += [pytest.param(call, error, id=name) for name, (call, error) in OTHER_FAULTS.items()]
 
 
