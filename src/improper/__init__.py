@@ -34,9 +34,7 @@ _EXPORTS = {
         "capacity_loss",
         "check_assumptions",
         "gaussian_mutual_information",
-        "scalar_powers",
         "solve_capacity",
-        "verify_circular_optimality",
     ),
     "entropy": (
         "EntropyValue",
@@ -52,7 +50,6 @@ _EXPORTS = {
         "DimensionMismatch",
         "DomainError",
         "InvalidPair",
-        "NoiseNotCircular",
         "NotHermitian",
         "NotPositiveDefinite",
         "NotPositiveSemidefinite",
@@ -65,9 +62,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "TakagiFactorization",
-        "generalized_cholesky",
         "hermitian_eig",
-        "operator_norm",
         "overline_map",
         "takagi",
         "underline_map",
@@ -89,7 +84,6 @@ _EXPORTS = {
         "polar_to_real",
         "polar_to_sheared",
         "real_to_polar",
-        "sheared_density",
         "sheared_to_polar",
     ),
 }

@@ -55,22 +55,25 @@ def circularize(samples: second_order.SampleSet, seed: int) -> second_order.Samp
 
 
 def bessel_i0(x) -> np.ndarray | float:
-    """Modified Bessel function I0 for finite x >= 0: exp(log_bessel_i0(x))."""
-    return np.exp(log_bessel_i0(x))
+    """Modified Bessel function I0 for finite x >= 0: exp(log_bessel_i0(x)).
+
+    inf where I0 has no float value (from x of about 713 up).
+    """
+    log_i0 = log_bessel_i0(x)
+    with np.errstate(over="ignore"):
+        return np.exp(log_i0)
 
 
 def log_bessel_i0(x) -> np.ndarray | float:
     """log I0(x) for finite x >= 0 without overflow (I0 grows like e^x).
 
     x + log(i0e(x)) with scipy's exponentially scaled I0, loaded on first call.
-    Raises DomainError for a negative, non-finite or non-real argument.
+    Raises DomainError for a negative, non-finite or non-real argument
+    (linalg._numbers: DimensionMismatch for rows of different lengths).
     """
     from scipy.special import i0e
 
-    x = np.asarray(x)
-    if x.dtype.kind not in "iuf":  # as in linalg.as_matrix, a bool is not a number
-        raise DomainError(f"bessel_i0 expects real numbers, got dtype {x.dtype}")
-    x = x.astype(float, copy=False)
+    x = linalg._numbers(x, float)
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise DomainError("bessel_i0 expects finite non-negative arguments")
     out = x + np.log(i0e(x))
@@ -98,9 +101,9 @@ class AnalogGaussianModel:
 
 def analog_gaussian_model(pair: second_order.SecondOrderPair) -> AnalogGaussianModel:
     """Build the standardized model for a zero-mean pair with all lambda < 1."""
+    factors = pair.factors  # first: an ndarray's mean is a method, which counts as nonzero
     if np.count_nonzero(pair.mean):
         raise InvalidPair("NONZERO_MEAN", "analog Gaussian density requires zero mean")
-    factors = pair.factors
     factors.spectrum_below_one()
     fac = factors.takagi
     whitener = fac.q.conj().T @ factors.b_inv
@@ -111,8 +114,9 @@ def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | f
     """log density of the circular analog of the model's Gaussian at x.
 
     x may be a single complex n-vector or an (..., n) batch; an entry that
-    is not a finite number raises DomainError (linalg.as_matrix) and a wrong
-    last axis DimensionMismatch. In standardized coordinates y = W x the
+    is not a finite number raises DomainError (linalg._numbers and
+    as_matrix), and rows of different lengths or a wrong last axis
+    DimensionMismatch. In standardized coordinates y = W x the
     density is
 
         pi^-n prod(1 - lambda_i^2)^-1/2
@@ -125,8 +129,8 @@ def analog_gaussian_log_density(model: AnalogGaussianModel, x) -> np.ndarray | f
     """
     lam = model.lambdas
     n = lam.size
-    x = np.asarray(x)
-    points = linalg.as_matrix(x.reshape(1, -1))  # DomainError for a non-number or non-finite entry
+    x = linalg._numbers(x)
+    points = linalg.as_matrix(x.reshape(1, -1))  # DomainError for a non-finite entry
     if x.shape[-1:] != (n,):
         raise DimensionMismatch(f"expected points with last axis {n}, got shape {x.shape}")
     y = points.reshape(x.shape) @ model.whitener.T
@@ -152,11 +156,17 @@ def _sheared_coordinates(samples: second_order.SampleSet) -> np.ndarray:
 
     Each radius is in units of its own RMS over the set. The radii are first
     scaled by the exact power of two that brings the largest into [1/2, 1),
-    so no square leaves float range; a radius that is 0 throughout stays 0.
+    so no square leaves float range. Raises DegenerateConditional for a
+    radius that is 0 in every sample: that coordinate's phase has no
+    distribution.
     """
     sheared = transforms.polar_to_sheared(transforms.real_to_polar(samples.data))
-    r = np.ldexp(sheared.r, -np.frexp(sheared.r.max(axis=0))[1])
-    np.divide(r, np.sqrt(np.mean(r * r, axis=0)), out=r, where=r.max(axis=0) > 0)
+    top = sheared.r.max(axis=0)
+    if np.count_nonzero(top) < top.size:
+        raise DegenerateConditional("a coordinate is 0 in every sample; its phase has no "
+                                    "distribution")
+    r = np.ldexp(sheared.r, -np.frexp(top)[1])
+    r /= np.sqrt(np.mean(r * r, axis=0))
     return np.concatenate([r, sheared.phi], axis=-1)
 
 
@@ -172,8 +182,10 @@ def divergence_to_analog(samples: second_order.SampleSet, k: int = DEFAULT_K) ->
     Raises DegenerateConditional when the reduced representation is itself
     degenerate (e.g. every sample has the same modulus): its points tie, so
     its entropy estimate is -infinity while the joint stays finite. It is
-    also raised when the estimate plunges far below 0 without exact ties.
-    Ties in the full representation (repeated samples) raise TiedSamples.
+    also raised when the estimate plunges far below 0 without exact ties,
+    and for a coordinate that is 0 in every sample, whose phase has no
+    distribution. Ties in the full representation (repeated samples) raise
+    TiedSamples.
 
     D(x || x_a) has no unit: rescaling a radius shifts both entropies by the
     same amount. So each radius is measured in units of its own RMS, on the

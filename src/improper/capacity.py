@@ -20,11 +20,10 @@ holds the assumption list and, for an admissible spec, the sealed
 CapacityResult. check_assumptions and solve_capacity return what it holds,
 and the other quantities are views of that one solution: capacity_loss, the
 rate forfeited by a transceiver designed as if the noise were proper (always
-below n log(2/sqrt(3))), reads mu = sigma(P_x) / L, and scalar_powers, the
-real/imaginary power split of the scalar channel, reads the real covariances
-of the noise and the input. None of them has a formula or an assumption
-check of its own. The noise pair's cached factorization supplies its
-validity, eigenvalues and circularity coefficients.
+below n log(2/sqrt(3))), reads mu = sigma(P_x) / L. None of them has a
+formula or an assumption check of its own. The noise pair's cached
+factorization supplies its validity, eigenvalues and circularity
+coefficients.
 
 The solve takes three LAPACK calls and reads H through the spec alone: the
 singular values of H, H^-1, and the eigenvalues of the Hermitian
@@ -44,10 +43,7 @@ the closed form above relies on the level exceeding every noise eigenvalue.
 gaussian_mutual_information is I(x; y) = h(y) - h(z) of any Gaussian input
 within the budget, in closed form: the output pair is
 (H C_x H^H + C_z, H P_x H^T + P_z). At the solved input it equals the
-capacity, so it is the oracle the solve is checked against. For inputs that
-are not Gaussian, verify_circular_optimality estimates h(y) by kNN on
-simulated channel outputs and checks that circularizing a non-circular input
-cannot lower the MI through a proper-noise channel.
+capacity, so it is the oracle the solve is checked against.
 """
 
 from __future__ import annotations
@@ -59,21 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, second_order
-from .entropy import (
-    CLOSED_FORM,
-    DEFAULT_K,
-    KNN_ESTIMATE,
-    EntropyValue,
-    complex_gaussian_entropy,
-    knn_entropy,
-)
-from .errors import (
-    AssumptionViolated,
-    DimensionMismatch,
-    DomainError,
-    NoiseNotCircular,
-    PowerExceeded,
-)
+from .entropy import CLOSED_FORM, EntropyValue, complex_gaussian_entropy
+from .errors import AssumptionViolated, DimensionMismatch, DomainError, PowerExceeded
 
 # Violation names
 H_SINGULAR = "H_SINGULAR"
@@ -257,31 +240,6 @@ def capacity_loss(spec: ChannelSpec) -> CapacityLossResult:
     return CapacityLossResult(delta_c_nats=delta, mus=mus)
 
 
-def scalar_powers(c_z: float, p_z: float, power: float):
-    """Real/imaginary power split for the scalar channel (H = 1).
-
-    A view of solve_capacity on ChannelSpec(1, (C_z, P_z), S): the diagonals
-    of the real covariances of the noise and of the optimal input, that is
-    (re_noise, im_noise, re_power, im_power) = ((C_z + P_z)/2, (C_z - P_z)/2,
-    (S - P_z)/2, (S + P_z)/2), with both halves filled to the level
-    (S + C_z)/2. Raises AssumptionViolated exactly where check_assumptions
-    flags the spec.
-    """
-    spec = ChannelSpec(np.eye(1), second_order.SecondOrderPair([[c_z]], [[p_z]]), power)
-    x_pair = solve_capacity(spec).input_pair
-    noise = np.diag(second_order.real_covariance(spec.noise))
-    signal = np.diag(second_order.real_covariance(x_pair))
-    return tuple(float(v) for v in (*noise, *signal))
-
-
-def _mi_estimate(spec: ChannelSpec, x: np.ndarray, z: np.ndarray, k: int,
-                 seed: int) -> EntropyValue:
-    """I(x; y) = h(y) - h(z): kNN h(y) of y = x H^T + z, closed-form h(z)."""
-    h_z = complex_gaussian_entropy(spec.noise).value
-    h_y = knn_entropy(second_order.SampleSet(data=x @ spec.h.T + z, seed=seed), k)
-    return EntropyValue(value=h_y.value - h_z, method=KNN_ESTIMATE, stderr=h_y.stderr)
-
-
 def gaussian_mutual_information(
     spec: ChannelSpec,
     input_pair: second_order.SecondOrderPair,
@@ -305,33 +263,3 @@ def gaussian_mutual_information(
     value = (complex_gaussian_entropy(output).value
              - complex_gaussian_entropy(spec.noise).value)
     return EntropyValue(value=value, method=CLOSED_FORM)
-
-
-def verify_circular_optimality(
-    spec: ChannelSpec,
-    noncircular_input: second_order.SampleSet,
-    k: int = DEFAULT_K,
-    seed: int = 0,
-):
-    """MI through a proper-noise channel, before and after circularizing the input.
-
-    Returns (mi_original, mi_circularized) as EntropyValues. Circularizing
-    cannot lower the mutual information when the noise is circular, so up to
-    estimator noise mi_circularized >= mi_original - 3 stderr.
-
-    Both evaluations use the same noise draws, one per input vector, so
-    their difference is estimated with reduced variance. Raises
-    DimensionMismatch for samples of another dimension than the channel.
-    """
-    from .analog import circularize  # here, so solving a channel never loads analog
-
-    if noncircular_input.n != spec.dim:
-        raise DimensionMismatch("channel and input dimensions differ")
-    c_norm = linalg.operator_norm(spec.noise.cov)
-    if linalg.operator_norm(spec.noise.pcov) > linalg.PROPER_RTOL * c_norm:
-        raise NoiseNotCircular("noise complementary covariance must vanish")
-    seed_z, seed_psi = second_order._spawn_seeds(seed, 2)
-    z = second_order.sample_gaussian(spec.noise, noncircular_input.count, seed_z)
-    rotated = circularize(noncircular_input, seed_psi)
-    return (_mi_estimate(spec, noncircular_input.data, z.data, k, seed),
-            _mi_estimate(spec, rotated.data, z.data, k, seed))

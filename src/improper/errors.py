@@ -78,10 +78,6 @@ class PowerExceeded(DomainError):
     """Input covariance trace exceeds the power budget."""
 
 
-class NoiseNotCircular(DomainError):
-    """Operation requires proper (circular) Gaussian noise."""
-
-
 class AssumptionViolated(DomainError):
     """Channel spec violates the closed-form solver's assumptions.
 

@@ -1,10 +1,9 @@
 """Dense complex-matrix kernel.
 
-Real embeddings of complex matrices, Hermitian eigendecomposition,
+Real embeddings of complex matrices, Hermitian eigendecomposition and
 Takagi factorization of complex symmetric matrices (one eigendecomposition
-of the real embedding), and the generalized Cholesky factor B with
-B B^H = A. Matrices are plain numpy arrays (complex128 / float64);
-everything here is a pure function.
+of the real embedding). Matrices are plain numpy arrays (complex128 /
+float64); everything here is a pure function.
 
 Expected sizes are covariance-scale (n <= 64); no sparse or blocked code.
 
@@ -31,15 +30,18 @@ up to the float maximum stay finite. A log-determinant is a sum of logs
 plus a constant, log det(pi e C) = sum log d + n log(pi e).
 
 Beside it sits the one input gate, which decides what a well-formed input
-is and which error names each fault: as_matrix admits every matrix and
-sample set the package takes (DomainError for entries of a non-numeric
-dtype, booleans included, DimensionMismatch for a wrong shape, DomainError
-for a non-finite entry), and _int_at_least every count, k and
-seed. _sealed makes the copy every holder keeps and every cache hands out,
-and _rebuilt_from_fields makes copies and pickles of a holder go through its
-constructor. Each array is gated and sealed once, where it enters its
-holder (a SecondOrderPair, a ChannelSpec, a cached factorization); code
-past the holder reads the held arrays without a second gate or copy. One
+is and which error names each fault: _numbers converts every array the
+package takes, of any shape (DimensionMismatch for rows of different
+lengths, DomainError for entries of a non-numeric dtype, booleans included,
+and for complex entries where the values must be real), as_matrix admits
+on top of it every matrix and sample set (DimensionMismatch for a wrong
+shape, DomainError for a non-finite entry), and _int_at_least every count,
+k and seed. _sealed makes the copy every holder keeps and every cache hands
+out, and _rebuilt_from_fields makes copies and pickles of a holder go
+through its constructor. Each array is gated and sealed once, where it
+enters its holder (a SecondOrderPair, a ChannelSpec, a cached
+factorization); code past the holder reads the held arrays without a
+second gate or copy. One
 closed-form chain at n = 2 (validate_pair, SecondOrderPair, the spectrum,
 both entropies, the analog model, ChannelSpec, solve_capacity and
 capacity_loss) makes 8 gates and 14 seals; tests/test_factor_once.py pins
@@ -75,7 +77,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotHermitian, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, DomainError, NotHermitian, NotSymmetric
 
 # ||A - A^T|| (or A^H) within SYM_RTOL ||A|| is symmetric (Hermitian) round-off.
 SYM_RTOL = 1e-10
@@ -91,8 +93,6 @@ LAMBDA_TOL = 1e-10
 _AT_ONE = 1.0 - LAMBDA_TOL
 # An input trace up to POWER_RTOL above the budget S is round-off.
 POWER_RTOL = 1e-8
-# ||P||_2 within PROPER_RTOL ||C||_2 counts as a vanishing P (proper noise).
-PROPER_RTOL = 1e-10
 
 # Distinct inputs each memo keeps. A closed-form chain reuses a factorization
 # within one or two calls. At n = 64 an entry holds about 0.13 MB
@@ -102,20 +102,30 @@ _MEMO_ENTRIES = 8
 _MEMOS = []  # every memo's lru_cache, for cache_info and cache_clear
 
 
-def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
-    """a as a finite non-empty 2-D dtype array, square if square.
+def _numbers(a, dtype=complex) -> np.ndarray:
+    """a as a dtype (complex or float) array of any shape.
 
-    Raises DomainError for entries that are not numbers (strings, quoted
-    numbers, objects, booleans), DimensionMismatch for a wrong shape (rows
-    of different lengths included) and DomainError for a non-finite entry.
+    Raises DimensionMismatch for rows of different lengths and DomainError
+    for entries that are not numbers (strings, quoted numbers, objects,
+    booleans), or not real numbers where dtype is float.
     """
     try:
         a = np.asarray(a)
     except ValueError:  # a ragged nested list has no shape
-        raise DimensionMismatch("expected a matrix, got rows of different lengths") from None
-    if a.dtype.kind not in "iufc":  # a bool is not a number, as in files and counts
-        raise DomainError(f"matrix entries must be numbers, got dtype {a.dtype}")
-    a = a.astype(dtype, copy=False)
+        raise DimensionMismatch("expected an array, got rows of different lengths") from None
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):  # a bool is not a number
+        what = "numbers" if dtype is complex else "real numbers"
+        raise DomainError(f"entries must be {what}, got dtype {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
+def as_matrix(a, dtype=complex, square=False) -> np.ndarray:
+    """a as a finite non-empty 2-D dtype array, square if square.
+
+    Raises what _numbers raises, DimensionMismatch for a wrong shape and
+    DomainError for a non-finite entry.
+    """
+    a = _numbers(a, dtype)
     if a.ndim != 2 or a.size == 0 or (square and a.shape[0] != a.shape[1]):
         kind = "square " if square else ""
         raise DimensionMismatch(f"expected a non-empty {kind}matrix, got shape {a.shape}")
@@ -234,11 +244,6 @@ def _embedding(a: np.ndarray, underline: bool) -> np.ndarray:
     return out
 
 
-def operator_norm(a) -> float:
-    """Largest singular value (Euclidean operator norm)."""
-    return float(np.linalg.norm(as_matrix(a), 2))
-
-
 def _asymmetry(a: np.ndarray, hermitian: bool, beside: np.ndarray | None = None):
     """||A - A'|| / max(||A||, ||S||) (Frobenius), A' = A^H or A^T; 0 for A = 0.
 
@@ -336,21 +341,6 @@ def _eighs(a):
     h = 0.5 * a
     d, u = np.linalg.eigh(h + h.conj().swapaxes(-1, -2))
     return u[..., ::-1], d[..., ::-1]
-
-
-def generalized_cholesky(a) -> np.ndarray:
-    """A non-singular B with B @ B^H = A, for Hermitian positive definite A.
-
-    Built from the eigendecomposition, B = U diag(sqrt(d)); any other factor
-    differs from this one by a right unitary. Raises NotPositiveDefinite when
-    the smallest eigenvalue is not safely positive relative to the largest.
-    """
-    u, d = hermitian_eig(a)
-    if _not_positive(d[-1], d[0]):
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {d[-1]:.3e} fails the positivity threshold"
-        )
-    return u * np.sqrt(d)
 
 
 @dataclass(frozen=True)

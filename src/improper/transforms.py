@@ -14,8 +14,8 @@ convention phi_k = 0 and carry zero polar density.
 
 Both representations are PolarPoints (radii and phases); the function
 names say which one a point is in: polar_to_sheared returns, and
-sheared_to_polar and sheared_density take, phases whose first n-1 entries
-are offsets from the last.
+sheared_to_polar takes, phases whose first n-1 entries are offsets from
+the last.
 
 All functions are vectorized over leading axes: radii/phases have shape
 (..., n).
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import real_vector
+from .linalg import _numbers, real_vector
 
 
 def mod1(x) -> np.ndarray:
@@ -48,8 +48,8 @@ class PolarPoint:
     phi: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
+        r = _numbers(self.r, float)
+        phi = _numbers(self.phi, float)
         if r.shape != phi.shape:
             raise DimensionMismatch(f"r and phi shapes differ: {r.shape} / {phi.shape}")
         object.__setattr__(self, "r", r)
@@ -57,8 +57,12 @@ class PolarPoint:
 
 
 def real_to_polar(x) -> PolarPoint:
-    """Moduli and phases (in turns) of complex vectors; phi = 0 where r = 0."""
-    x = np.asarray(x, dtype=complex)
+    """Moduli and phases (in turns) of complex vectors; phi = 0 where r = 0.
+
+    Raises DomainError for entries that are not numbers and
+    DimensionMismatch for rows of different lengths (linalg._numbers).
+    """
+    x = _numbers(x)
     r = np.abs(x)
     phi = mod1(np.angle(x) / (2.0 * np.pi))
     phi = np.where(r == 0.0, 0.0, phi)
@@ -101,7 +105,3 @@ def polar_density(f_real, p: PolarPoint):
         return float(out)
     return out
 
-
-def sheared_density(f_real, s: PolarPoint):
-    """Density of the sheared-polar representation (the shear has unit Jacobian)."""
-    return polar_density(f_real, sheared_to_polar(s))

@@ -69,6 +69,13 @@ def test_bessel_i0_scalar_and_array_forms():
         analog.log_bessel_i0(-1.0)
 
 
+def test_bessel_i0_beyond_float_range_is_inf():
+    # I0 has no float value there; its log still has one
+    assert analog.bessel_i0(1e308) == np.inf
+    assert analog.bessel_i0(np.array([1.0, 1e308]))[1] == np.inf
+    assert analog.log_bessel_i0(1e308) == 1e308
+
+
 def test_bessel_i0_rejects_non_finite_arguments():
     for x in (np.nan, np.inf, -np.inf, np.array([1.0, np.nan]), np.array([0.5, np.inf])):
         for fn in (analog.log_bessel_i0, analog.bessel_i0):
@@ -83,6 +90,14 @@ def test_analog_model_proper_case():
     pts = (rng.standard_normal(50) + 1j * rng.standard_normal(50))[:, None]
     dens = analog.analog_gaussian_density(model, pts)
     np.testing.assert_allclose(dens, np.exp(-np.abs(pts[:, 0]) ** 2) / np.pi, rtol=1e-12)
+
+
+def test_analog_model_of_a_non_pair_fails_as_the_other_pair_readers_do():
+    # not InvalidPair NONZERO_MEAN: an ndarray's bound method mean is no mean vector
+    for call in (entropy.complex_gaussian_entropy, so.circularity_spectrum,
+                 analog.analog_gaussian_model):
+        with pytest.raises(AttributeError, match="has no attribute 'factors'"):
+            call(np.eye(2))
 
 
 def test_analog_model_rejections():
@@ -222,6 +237,19 @@ def test_divergence_to_analog_tie_errors():
     repeated = so.SampleSet(data=np.repeat(x.data, 10, axis=0), seed=0)
     with pytest.raises(TiedSamples):
         analog.divergence_to_analog(repeated)
+
+
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_divergence_to_analog_rejects_a_coordinate_that_is_0_throughout(zero_first):
+    # its phase has no distribution; the estimate read 3.30 (2.61 with the zero column
+    # first) where D(x_1 || x_1,a) is about 0.046, and grew with N
+    pair = so.SecondOrderPair(np.eye(2), 0.3 * np.eye(2))
+    x1 = so.sample_gaussian(pair, 2000, seed=1).data[:, :1]
+    cols = [np.zeros_like(x1), x1] if zero_first else [x1, np.zeros_like(x1)]
+    with pytest.raises(DegenerateConditional, match="0 in every sample"):
+        analog.divergence_to_analog(so.SampleSet(data=np.hstack(cols)))
+    with pytest.raises(DegenerateConditional, match="0 in every sample"):
+        analog.divergence_to_analog(so.SampleSet(data=np.zeros((2000, 2))))  # TiedSamples before
 
 
 def test_gap_nonnegative_up_to_noise():

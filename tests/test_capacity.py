@@ -7,7 +7,6 @@ from improper.errors import (
     AssumptionViolated,
     DimensionMismatch,
     InvalidPair,
-    NoiseNotCircular,
     PowerExceeded,
     SpectrumAtOne,
 )
@@ -230,41 +229,6 @@ def test_improper_noise_capacity_bonus():
     assert bonus > 0
 
 
-def test_scalar_powers_split():
-    re_n, im_n, re_p, im_p = cap.scalar_powers(1.0, 0.5, 2.0)
-    assert (re_n, im_n, re_p, im_p) == (0.75, 0.25, 0.75, 1.25)
-    assert re_p + im_p == pytest.approx(2.0)
-    # both halves fill to the same level
-    assert re_n + re_p == pytest.approx(im_n + im_p)
-
-
-def test_scalar_powers_violations():
-    with pytest.raises(AssumptionViolated):
-        cap.scalar_powers(0.0, 0.0, 2.0)
-    with pytest.raises(AssumptionViolated):
-        cap.scalar_powers(1.0, 1.5, 9.0)
-    with pytest.raises(AssumptionViolated):
-        cap.scalar_powers(1.0, 0.0, 1.0)
-    # |P_z| = C_z puts the noise spectrum at 1, as check_assumptions says
-    with pytest.raises(AssumptionViolated) as exc:
-        cap.scalar_powers(1.0, 1.0, 4.0)
-    assert [v.name for v in exc.value.violations] == [cap.SPECTRUM_AT_ONE]
-
-
-def test_scalar_powers_raises_exactly_where_check_assumptions_flags():
-    for c_z in (0.0, 1e-30, 0.5, 1.0, 1e20):
-        for ratio in (0.0, -0.5, 0.999, 1.0, -1.0, 1.5):
-            for power in (0.0, c_z, 2.0 * c_z, 2.0 * c_z * (1 + 1e-6), 7.0 * c_z + 3.0):
-                p_z = ratio * c_z
-                flagged = cap.check_assumptions(scalar_spec(p_z, power, c_z))
-                try:
-                    cap.scalar_powers(c_z, p_z, power)
-                    raised = []
-                except AssumptionViolated as exc:
-                    raised = exc.violations
-                assert raised == flagged, (c_z, p_z, power)
-
-
 def test_gaussian_mutual_information_scalar():
     spec = scalar_spec()
     res = cap.solve_capacity(spec)
@@ -303,27 +267,3 @@ def test_gaussian_mutual_information_equals_capacity_at_large_budgets():
             assert mi.value == pytest.approx(res.capacity_nats, rel=1e-12)
     assert beyond_absolute_slack > 0
 
-
-def test_verify_circular_optimality_bpsk():
-    spec = scalar_spec()
-    rng = np.random.default_rng(112)
-    bpsk = so.SampleSet(
-        data=(rng.integers(0, 2, 20_000) * 2.0 - 1.0).astype(complex)[:, None], seed=0)
-    mi1, mi2 = cap.verify_circular_optimality(spec, bpsk, seed=113)
-    se = np.hypot(mi1.stderr, mi2.stderr)
-    assert mi2.value >= mi1.value - 3 * se
-
-
-def test_verify_circular_optimality_guards():
-    improper_noise = so.SecondOrderPair(cov=np.eye(1), pcov=np.array([[0.5]]))
-    spec = cap.ChannelSpec(h=np.eye(1), noise=improper_noise, power=2.0)
-    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 1000, seed=5)
-    with pytest.raises(NoiseNotCircular):
-        cap.verify_circular_optimality(spec, x, seed=1)
-
-
-def test_verify_circular_optimality_rejects_samples_of_another_dimension():
-    spec = cap.ChannelSpec(np.eye(2), so.SecondOrderPair.proper(np.eye(2)), 100.0)
-    x = so.sample_gaussian(so.SecondOrderPair.proper(np.eye(1)), 1000, seed=5)
-    with pytest.raises(DimensionMismatch, match="channel and input dimensions differ"):
-        cap.verify_circular_optimality(spec, x, seed=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from improper import analog, linalg
-from improper.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite, NotSymmetric
+from improper.errors import DimensionMismatch, NotHermitian, NotSymmetric
 from improper.second_order import SecondOrderPair
 
 
@@ -80,14 +80,6 @@ def test_overline_det_is_squared_modulus():
     )
 
 
-def test_operator_norm_matches_numpy():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    assert linalg.operator_norm(a) == pytest.approx(np.linalg.norm(a, 2))
-    with pytest.raises(DimensionMismatch):
-        linalg.operator_norm(np.zeros((0, 0)))
-
-
 def test_hermitian_eig_descending_and_reconstructs():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -112,24 +104,6 @@ def test_hermitian_part_is_halved_before_the_sum():
     assert got_d.tobytes() == np.ascontiguousarray(d[..., ::-1]).tobytes()
     _, top = linalg.hermitian_eig(1.5e308 * np.eye(2))
     assert top.tolist() == [1.5e308, 1.5e308]
-
-def test_generalized_cholesky_factorizes():
-    c = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    b = linalg.generalized_cholesky(c)
-    np.testing.assert_allclose(b @ b.conj().T, c, atol=1e-12)
-    assert abs(np.linalg.det(b)) > 0
-
-
-def test_generalized_cholesky_rejects_singular_and_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        linalg.generalized_cholesky(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(NotPositiveDefinite):
-        linalg.generalized_cholesky(np.array([[-1.0]]))
-
-
-def test_generalized_cholesky_rejects_empty():
-    with pytest.raises(DimensionMismatch):
-        linalg.generalized_cholesky(np.zeros((0, 0)))
 
 
 def test_takagi_diagonal_case():

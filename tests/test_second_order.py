@@ -42,7 +42,6 @@ GATED = {
     "real_gaussian_entropy": (entropy.real_gaussian_entropy, True),
     "neeser_massey_bound": (entropy.neeser_massey_bound, True),
     "hermitian_eig": (linalg.hermitian_eig, True),
-    "generalized_cholesky": (linalg.generalized_cholesky, True),
     "takagi": (linalg.takagi, True),
     "ChannelSpec": (lambda a: ip.ChannelSpec(h=a, noise=so.SecondOrderPair.proper(np.eye(2)),
                                              power=10.0), True),
@@ -65,14 +64,11 @@ FAULTS = {
     "ragged": ([[1.0, 2.0], [3.0]], DimensionMismatch),
 }
 _SAMPLES = so.SampleSet(data=np.ones((500, 1)))
-_PROPER_SPEC = ip.ChannelSpec(h=np.eye(1), noise=so.SecondOrderPair.proper(np.eye(1)), power=10.0)
 # entry point -> call with one seed
 SEEDED = {
     "SampleSet": lambda seed: so.SampleSet(data=np.ones((3, 1)), seed=seed),
     "sample_gaussian": lambda seed: so.sample_gaussian(scalar_pair(0.5), 10, seed),
     "circularize": lambda seed: ip.circularize(_SAMPLES, seed),
-    "verify_circular_optimality": lambda seed: ip.verify_circular_optimality(
-        _PROPER_SPEC, _SAMPLES, seed=seed),
     "analog_entropy_gap": lambda seed: ip.analog_entropy_gap(_SAMPLES, seed=seed),
 }
 OTHER_FAULTS = {
@@ -82,6 +78,10 @@ OTHER_FAULTS = {
     # C = S11 + S22 = 2e308 I has no float
     "C beyond float range": (lambda: so.pair_from_real_covariance(1e308 * np.eye(4)),
                              DomainError),
+    # a real covariance is real: complex entries are not cast away
+    **{f"{name} complex": (lambda call=call: call(np.eye(2, dtype=complex)), DomainError)
+       for name, call in (("real_gaussian_entropy", entropy.real_gaussian_entropy),
+                          ("pair_from_real_covariance", so.pair_from_real_covariance))},
     "odd real vector": (lambda: linalg.complex_vector(np.ones(3)), DimensionMismatch),
     "PolarPoint r/phi": (lambda: ip.PolarPoint(r=np.ones(2), phi=np.ones(3)), DimensionMismatch),
     "SampleSet 0 rows": (lambda: so.SampleSet(data=np.zeros((0, 2))), DimensionMismatch),
@@ -105,13 +105,18 @@ OTHER_FAULTS = {
 TABLE = [pytest.param(lambda call=call, a=a: call(a), error, id=f"{name}-{fault}")
          for name, (call, square) in GATED.items()
          for fault, (a, error) in FAULTS.items() if square or fault != "non-square"]
-# the density's points and the Bessel argument are numbers too
+# the entry points that take numbers of any shape share the gate's dtype and ragged rules
 _MODEL = ip.analog_gaussian_model(so.SecondOrderPair.proper(np.eye(2)))
 NUMBERS = {"analog_gaussian_density": lambda a: ip.analog_gaussian_density(_MODEL, a),
-           "bessel_i0": ip.bessel_i0}
+           "analog_gaussian_log_density": lambda a: ip.analog_gaussian_log_density(_MODEL, a),
+           "bessel_i0": ip.bessel_i0,
+           "log_bessel_i0": ip.log_bessel_i0,
+           "real_to_polar": ip.real_to_polar,
+           "PolarPoint": lambda a: ip.PolarPoint(r=a, phi=a)}
 TABLE += [pytest.param(lambda call=call, a=FAULTS[fault][0]: call(a), FAULTS[fault][1],
                        id=f"{name}-{fault}")
-          for name, call in NUMBERS.items() for fault in ("str", "quoted number", "object", "bool")]
+          for name, call in NUMBERS.items()
+          for fault in ("str", "quoted number", "object", "bool", "ragged")]
 TABLE += [pytest.param(call, error, id=name) for name, (call, error) in OTHER_FAULTS.items()]
 
 

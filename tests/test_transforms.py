@@ -99,16 +99,3 @@ def test_polar_density_integrates_to_one():
     integral = np.trapezoid(vals.mean(axis=1), r)
     assert integral == pytest.approx(1.0, abs=1e-4)
 
-
-def test_sheared_density_matches_polar():
-    rng = np.random.default_rng(44)
-
-    def gauss_4d(xr):
-        return np.exp(-np.sum(xr**2, axis=-1)) / np.pi**2
-
-    r = np.abs(rng.standard_normal((20, 2))) + 0.1
-    phi = rng.random((20, 2))
-    p = tf.PolarPoint(r=r, phi=phi)
-    s = tf.polar_to_sheared(p)
-    np.testing.assert_allclose(tf.sheared_density(gauss_4d, s),
-                               tf.polar_density(gauss_4d, p), rtol=1e-12)
